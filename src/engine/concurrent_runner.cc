@@ -24,8 +24,8 @@ Status RunTape(ShardedEngine* engine, const std::vector<WorkloadOp>& ops,
   // exclusive mode, where the engine never runs anything shared).
   out->shared_io.assign(engine->num_shards(), IoStatsSnapshot{});
   // One reused single-request batch per tape: every op dispatches through
-  // ShardedEngine::Execute -- batch size 1 is the historical per-op path, so
-  // the tape's op interleaving and counted I/O are unchanged.
+  // ShardedEngine::Execute on its own, so ops run in tape order with the
+  // same counted I/O as the per-op wrappers.
   kv::RequestBatch batch;
   batch.requests.resize(1);
   batch.responses.resize(1);

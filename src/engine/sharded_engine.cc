@@ -1,6 +1,7 @@
 #include "engine/sharded_engine.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <mutex>
 #include <string>
@@ -20,12 +21,6 @@ double ElapsedUs(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(
              std::chrono::steady_clock::now() - start)
       .count();
-}
-
-/// Hard failure = anything that is neither success nor a lookup miss (the
-/// batch-Status contract shared with kv::ExecuteOnIndex).
-bool IsHardFailure(Status::Code code) {
-  return code != Status::Code::kOk && code != Status::Code::kNotFound;
 }
 
 }  // namespace
@@ -55,10 +50,9 @@ std::size_t ShardedEngine::ShardFor(Key key) const {
   return static_cast<std::size_t>(it - lower_bounds_.begin()) - 1;
 }
 
-Status ShardedEngine::Bulkload(std::span<const Record> records) {
-  if (!shards_.empty()) {
-    return Status::FailedPrecondition("ShardedEngine: Bulkload already called");
-  }
+Status ShardedEngine::PlanShards(std::span<const Record> records,
+                                 std::vector<std::size_t>* cuts,
+                                 IndexOptions* shard_options) {
   // Validate sortedness up front: each shard only validates its own slice,
   // which would miss a violation straddling a cut point -- and unsorted input
   // would silently break key routing.
@@ -73,58 +67,82 @@ Status ShardedEngine::Bulkload(std::span<const Record> records) {
   const std::size_t num_shards = std::max<std::size_t>(
       1, std::min(options_.num_shards, std::max<std::size_t>(records.size(), 1)));
 
-  IndexOptions shard_options = options_.index;
+  *shard_options = options_.index;
   if (options_.share_buffers_across_shards &&
-      shard_options.shared_buffer_budget_blocks > 0 &&
-      shard_options.shared_buffer_manager == nullptr) {
+      shard_options->shared_buffer_budget_blocks > 0 &&
+      shard_options->shared_buffer_manager == nullptr) {
     // One budget spanning all shards: the engine owns the manager and injects
     // it into every shard's index.
     shared_buffers_ =
-        std::make_unique<BufferManager>(BufferManagerOptionsFrom(shard_options));
-    shard_options.shared_buffer_manager = shared_buffers_.get();
+        std::make_unique<BufferManager>(BufferManagerOptionsFrom(*shard_options));
+    shard_options->shared_buffer_manager = shared_buffers_.get();
+  }
+  if (shard_options->durability == DurabilityPolicy::kGroupCommit &&
+      shard_options->group_commit == nullptr) {
+    // Commit forcing is amortized through ONE group-commit window spanning
+    // every shard, so the window fills at the engine's aggregate op rate.
+    group_commit_ = std::make_unique<GroupCommitWindow>(shard_options->wal_group_window);
+    shard_options->group_commit = group_commit_.get();
   }
 
+  // Equal-count cut points over the sorted bulkload set; shard i owns keys in
+  // [records[cuts[i]].key, records[cuts[i+1]].key).
+  cuts->resize(num_shards + 1);
+  for (std::size_t i = 0; i <= num_shards; ++i) (*cuts)[i] = i * records.size() / num_shards;
+  lower_bounds_.assign(1, kMinKey);
+  for (std::size_t i = 1; i < num_shards; ++i) {
+    lower_bounds_.push_back(records[(*cuts)[i]].key);
+  }
+  return Status::Ok();
+}
+
+IndexOptions ShardedEngine::ShardOptions(IndexOptions options, DurableStore* store,
+                                         std::size_t i) {
+  // Per-shard WALs: shard i logs to the store's slot i.
+  if (store != nullptr) options.durable_slot = store->slot(i);
+  // Per-shard metric namespace: the decorator and WAL register their
+  // counters/gauges under "shard<i>." so one registry can hold every shard.
+  if (options.metrics != nullptr || options.trace != nullptr) {
+    options.metrics_prefix = "shard" + std::to_string(i) + ".";
+  }
+  return options;
+}
+
+void ShardedEngine::ResetShards() {
+  shards_.clear();
+  lower_bounds_.clear();
+  shared_buffers_.reset();
+  group_commit_.reset();
+  owned_durable_store_.reset();
+}
+
+Status ShardedEngine::Bulkload(std::span<const Record> records) {
+  if (!shards_.empty()) {
+    return Status::FailedPrecondition("ShardedEngine: Bulkload already called");
+  }
+  std::vector<std::size_t> cuts;
+  IndexOptions shard_options;
+  Status status = PlanShards(records, &cuts, &shard_options);
+  if (!status.ok()) {
+    ResetShards();
+    return status;
+  }
   DurableStore* durable_store = nullptr;
   if (shard_options.durability != DurabilityPolicy::kNone) {
-    // Per-shard WALs: shard i logs to the store's slot i. Commit forcing is
-    // amortized through ONE group-commit window spanning every shard, so the
-    // window fills at the engine's aggregate operation rate.
     durable_store = options_.durable_store;
     if (durable_store == nullptr) {
       owned_durable_store_ = std::make_unique<DurableStore>(shard_options.block_size);
       durable_store = owned_durable_store_.get();
     }
-    if (shard_options.durability == DurabilityPolicy::kGroupCommit &&
-        shard_options.group_commit == nullptr) {
-      group_commit_ = std::make_unique<GroupCommitWindow>(shard_options.wal_group_window);
-      shard_options.group_commit = group_commit_.get();
-    }
   }
 
-  // Equal-count cut points over the sorted bulkload set; shard i owns keys in
-  // [records[cuts[i]].key, records[cuts[i+1]].key).
-  std::vector<std::size_t> cuts(num_shards + 1);
-  for (std::size_t i = 0; i <= num_shards; ++i) cuts[i] = i * records.size() / num_shards;
-  lower_bounds_.assign(1, kMinKey);
-  for (std::size_t i = 1; i < num_shards; ++i) {
-    lower_bounds_.push_back(records[cuts[i]].key);
-  }
-
+  const std::size_t num_shards = cuts.size() - 1;
   for (std::size_t i = 0; i < num_shards; ++i) {
     auto shard = std::make_unique<Shard>();
-    if (durable_store != nullptr) shard_options.durable_slot = durable_store->slot(i);
-    // Per-shard metric namespace: the decorator and WAL register their
-    // counters/gauges under "shard<i>." so one registry can hold every shard.
-    if (shard_options.metrics != nullptr || shard_options.trace != nullptr) {
-      shard_options.metrics_prefix = "shard" + std::to_string(i) + ".";
-    }
-    shard->index = MakeIndex(options_.index_name, shard_options);
+    shard->index =
+        MakeIndex(options_.index_name, ShardOptions(shard_options, durable_store, i));
     if (shard->index == nullptr) {
-      shards_.clear();
-      lower_bounds_.clear();
-      shared_buffers_.reset();
-      group_commit_.reset();
-      owned_durable_store_.reset();
+      ResetShards();
       return Status::InvalidArgument("ShardedEngine: unknown index '" + options_.index_name +
                                      "'");
     }
@@ -145,15 +163,10 @@ Status ShardedEngine::Bulkload(std::span<const Record> records) {
     for (std::size_t i = 0; i < num_shards; ++i) workers.emplace_back(load_shard, i);
     for (auto& w : workers) w.join();
   }
-  for (const Status& status : statuses) {
-    if (!status.ok()) {
-      // Do not leave a half-loaded engine looking ready.
-      shards_.clear();
-      lower_bounds_.clear();
-      shared_buffers_.reset();
-      group_commit_.reset();
-      owned_durable_store_.reset();
-      return status;
+  for (const Status& shard_status : statuses) {
+    if (!shard_status.ok()) {
+      ResetShards();
+      return shard_status;
     }
   }
   RegisterTelemetry();
@@ -172,57 +185,16 @@ Status ShardedEngine::RecoverFrom(DurableStore* store, std::span<const Record> r
     return Status::FailedPrecondition(
         "ShardedEngine::RecoverFrom requires durability != kNone");
   }
-  for (std::size_t i = 1; i < records.size(); ++i) {
-    if (records[i].key <= records[i - 1].key) {
-      return Status::InvalidArgument(
-          "bulkload input must be sorted by strictly increasing key (violation at index " +
-          std::to_string(i) + ")");
-    }
-  }
-
-  // Cut points MUST be recomputed exactly as Bulkload computed them, so each
-  // recovered shard finds its own WAL/checkpoint in the matching store slot.
-  const std::size_t num_shards = std::max<std::size_t>(
-      1, std::min(options_.num_shards, std::max<std::size_t>(records.size(), 1)));
-
-  IndexOptions shard_options = options_.index;
-  if (options_.share_buffers_across_shards &&
-      shard_options.shared_buffer_budget_blocks > 0 &&
-      shard_options.shared_buffer_manager == nullptr) {
-    shared_buffers_ =
-        std::make_unique<BufferManager>(BufferManagerOptionsFrom(shard_options));
-    shard_options.shared_buffer_manager = shared_buffers_.get();
-  }
-  if (shard_options.durability == DurabilityPolicy::kGroupCommit &&
-      shard_options.group_commit == nullptr) {
-    group_commit_ = std::make_unique<GroupCommitWindow>(shard_options.wal_group_window);
-    shard_options.group_commit = group_commit_.get();
-  }
-
-  std::vector<std::size_t> cuts(num_shards + 1);
-  for (std::size_t i = 0; i <= num_shards; ++i) cuts[i] = i * records.size() / num_shards;
-  lower_bounds_.assign(1, kMinKey);
-  for (std::size_t i = 1; i < num_shards; ++i) {
-    lower_bounds_.push_back(records[cuts[i]].key);
-  }
-
+  std::vector<std::size_t> cuts;
+  IndexOptions shard_options;
+  Status status = PlanShards(records, &cuts, &shard_options);
   RecoverySummary agg;
-  for (std::size_t i = 0; i < num_shards; ++i) {
-    shard_options.durable_slot = store->slot(i);
-    if (shard_options.metrics != nullptr || shard_options.trace != nullptr) {
-      shard_options.metrics_prefix = "shard" + std::to_string(i) + ".";
-    }
+  for (std::size_t i = 0; status.ok() && i + 1 < cuts.size(); ++i) {
     RecoveryResult result;
-    const Status status =
-        RecoveryManager::Recover(store->slot(i), options_.index_name, shard_options,
-                                 records.subspan(cuts[i], cuts[i + 1] - cuts[i]), &result);
-    if (!status.ok()) {
-      shards_.clear();
-      lower_bounds_.clear();
-      shared_buffers_.reset();
-      group_commit_.reset();
-      return status;
-    }
+    status = RecoveryManager::Recover(store->slot(i), options_.index_name,
+                                      ShardOptions(shard_options, store, i),
+                                      records.subspan(cuts[i], cuts[i + 1] - cuts[i]), &result);
+    if (!status.ok()) break;
     agg.replayed_records += result.replayed_records;
     agg.checkpoint_entries += result.checkpoint_entries;
     agg.wal_blocks_read += result.wal_blocks_read;
@@ -231,6 +203,10 @@ Status ShardedEngine::RecoverFrom(DurableStore* store, std::span<const Record> r
     auto shard = std::make_unique<Shard>();
     shard->index = std::move(result.index);
     shards_.push_back(std::move(shard));
+  }
+  if (!status.ok()) {
+    ResetShards();
+    return status;
   }
   if (summary != nullptr) *summary = agg;
   RegisterTelemetry();
@@ -241,22 +217,19 @@ void ShardedEngine::RegisterTelemetry() {
   metrics_ = options_.index.metrics;
   trace_ = options_.index.trace;
   if (metrics_ == nullptr) return;
-  lookup_us_id_ = metrics_->Histogram("engine.lookup_us");
-  insert_us_id_ = metrics_->Histogram("engine.insert_us");
-  delete_us_id_ = metrics_->Histogram("engine.delete_us");
-  rmw_us_id_ = metrics_->Histogram("engine.rmw_us");
-  scan_us_id_ = metrics_->Histogram("engine.scan_us");
-  execute_us_id_ = metrics_->Histogram("engine.execute_us");
+  for (std::size_t k = 0; k < kv::kNumOpKinds; ++k) {
+    const std::string kind = kv::OpKindName(static_cast<kv::OpKind>(k));
+    op_us_ids_[k] = metrics_->Histogram("engine." + kind + "_us");
+  }
   lock_wait_us_id_ = metrics_->Histogram("engine.lock_wait_us");
   shard_metric_ids_.resize(shards_.size());
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     const std::string prefix = "shard" + std::to_string(i) + ".";
     ShardMetricIds& ids = shard_metric_ids_[i];
-    ids.lookups = metrics_->Counter(prefix + "ops.lookup");
-    ids.inserts = metrics_->Counter(prefix + "ops.insert");
-    ids.deletes = metrics_->Counter(prefix + "ops.delete");
-    ids.rmws = metrics_->Counter(prefix + "ops.rmw");
-    ids.scans = metrics_->Counter(prefix + "ops.scan");
+    for (std::size_t k = 0; k < kv::kNumOpKinds; ++k) {
+      ids.ops[k] = metrics_->Counter(prefix + "ops." +
+                                     kv::OpKindName(static_cast<kv::OpKind>(k)));
+    }
     ids.lock_waits = metrics_->Counter(prefix + "lock_waits");
     const std::vector<std::string> names =
         RegisterBufferGauges(metrics_, prefix, &shards_[i]->index->io_stats());
@@ -307,10 +280,27 @@ void ShardedEngine::BlockingSharedAcquire(std::size_t s, Shard& shard) {
 }
 
 template <typename Op>
-Status ShardedEngine::RunSharedLocked(std::size_t s, IoStatsSnapshot* io,
-                                      std::vector<IoStatsSnapshot>* shared_io,
-                                      const Op& op) {
+Status ShardedEngine::OnShard(std::size_t s, bool exclusive, IoStatsSnapshot* io,
+                              std::vector<IoStatsSnapshot>* shared_io, const Op& op) {
   Shard& shard = *shards_[s];
+  DiskIndex* index = shard.index.get();
+  if (exclusive) {
+    // A snapshot delta is exact: nothing else touches this shard's counters
+    // while the latch is held exclusively.
+    std::lock_guard<std::shared_mutex> lock(shard.mu);
+    if (io == nullptr) return op(index);
+    const IoStatsSnapshot before = index->io_stats().snapshot();
+    const Status status = op(index);
+    *io += index->io_stats().snapshot() - before;
+    return status;
+  }
+  if (!shard.mu.try_lock_shared()) {
+    // A writer (or latch contention) is in the way: count the blocking
+    // acquisition, then wait.
+    BlockingSharedAcquire(s, shard);
+  }
+  std::shared_lock<std::shared_mutex> lock(shard.mu, std::adopt_lock);
+  if (io == nullptr && shared_io == nullptr) return op(index);
   IoStatsSnapshot delta;
   Status status;
   {
@@ -318,8 +308,8 @@ Status ShardedEngine::RunSharedLocked(std::size_t s, IoStatsSnapshot* io,
     // their counter bumps, so a snapshot delta would charge this op with the
     // other readers' I/O. The tally routes each bump to the thread (and
     // therefore the op) that performed it.
-    IoStats::ThreadTally tally(&shard.index->io_stats(), &delta);
-    status = op(shard.index.get());
+    IoStats::ThreadTally tally(&index->io_stats(), &delta);
+    status = op(index);
   }
   if (io != nullptr) *io += delta;
   if (shared_io != nullptr) {
@@ -329,336 +319,92 @@ Status ShardedEngine::RunSharedLocked(std::size_t s, IoStatsSnapshot* io,
   return status;
 }
 
-template <typename Op>
-Status ShardedEngine::ReadOnShard(std::size_t s, IoStatsSnapshot* io,
-                                  std::vector<IoStatsSnapshot>* shared_io, const Op& op) {
-  Shard& shard = *shards_[s];
-  switch (options_.shard_lock_mode) {
-    case ShardLockMode::kExclusive: {
-      // Historical behavior, kept bit-exact: exclusive latch and snapshot-
-      // delta attribution (exact because nothing else touches this shard's
-      // counters while the latch is held).
-      std::lock_guard<std::shared_mutex> lock(shard.mu);
-      const IoStatsSnapshot before = shard.index->io_stats().snapshot();
-      const Status status = op(shard.index.get());
-      if (io != nullptr) *io += shard.index->io_stats().snapshot() - before;
-      return status;
-    }
-    case ShardLockMode::kShared: {
-      if (!shard.mu.try_lock_shared()) {
-        // A writer (or latch contention) is in the way: count the blocking
-        // acquisition, then wait.
-        BlockingSharedAcquire(s, shard);
-      }
-      std::shared_lock<std::shared_mutex> lock(shard.mu, std::adopt_lock);
-      return RunSharedLocked(s, io, shared_io, op);
-    }
-    case ShardLockMode::kOptimistic: {
-      // Optimistic protocol: validate the shard version, try-acquire the
-      // shared latch without blocking, and revalidate after acquisition; a
-      // writer observed at any point is a conflict that retries from the
-      // top. Every retry happens BEFORE the operation executes, so counted
-      // I/O is identical to the other modes. The op itself still runs under
-      // the (try-acquired) shared latch: the single-threaded index
-      // structures are never traversed concurrently with a writer, which a
-      // genuinely latch-free read could not guarantee.
-      const std::size_t limit = std::max<std::size_t>(1, options_.optimistic_retry_limit);
-      for (std::size_t attempt = 0; attempt < limit; ++attempt) {
-        const std::uint64_t v = shard.version.load(std::memory_order_acquire);
-        if ((v & 1) == 0 && shard.mu.try_lock_shared()) {
-          std::shared_lock<std::shared_mutex> lock(shard.mu, std::adopt_lock);
-          if (shard.version.load(std::memory_order_relaxed) == v) {
-            return RunSharedLocked(s, io, shared_io, op);
-          }
-          // A writer slipped between the version load and the latch:
-          // validation failed, release and retry.
-        }
-        shard.index->io_stats().CountOptimisticRetry();
-        std::this_thread::yield();
-      }
-      // Contended past the retry budget: degrade to the shared mode's
-      // blocking acquisition.
-      BlockingSharedAcquire(s, shard);
-      std::shared_lock<std::shared_mutex> lock(shard.mu, std::adopt_lock);
-      return RunSharedLocked(s, io, shared_io, op);
-    }
+Status ShardedEngine::Dispatch(std::span<const kv::Request> requests,
+                               std::span<kv::Response> responses, IoStatsSnapshot* io,
+                               std::vector<IoStatsSnapshot>* shared_io) {
+  // Route every request to its owning shard and sort: shards in increasing
+  // order (the engine-wide deadlock-free latch order), batch order within a
+  // shard.
+  std::array<Route, kInlineRoutes> inline_routes;
+  std::vector<Route> heap_routes;
+  std::span<Route> routes(inline_routes.data(), std::min(requests.size(), kInlineRoutes));
+  if (requests.size() > kInlineRoutes) {
+    heap_routes.resize(requests.size());
+    routes = heap_routes;
   }
-  return Status::InvalidArgument("ShardedEngine: unknown shard_lock_mode");
-}
-
-// ExecuteSingle keeps a telemetry-off fast path per kind that is
-// byte-for-byte the historical per-op code (no clock reads, no extra
-// branches inside the latch), so the default configuration's timing and
-// counted I/O are untouched. The instrumented path wraps the SAME body --
-// telemetry observes the op, it never changes what the op does.
-
-Status ShardedEngine::ExecuteSingle(const kv::Request& req, kv::Response* resp,
-                                    IoStatsSnapshot* io,
-                                    std::vector<IoStatsSnapshot>* shared_io,
-                                    std::vector<Record>* scan_dest) {
-  resp->Reset();
-  switch (req.kind) {
-    case kv::OpKind::kLookup: {
-      const std::size_t s = ShardFor(req.key);
-      const auto op = [&](DiskIndex* index) {
-        return index->Lookup(req.key, &resp->payload, &resp->found);
-      };
-      Status status;
-      if (metrics_ == nullptr && trace_ == nullptr) {
-        status = ReadOnShard(s, io, shared_io, op);
-      } else {
-        TraceRecorder::Scope span(trace_, "lookup", "op", static_cast<int>(s));
-        const auto start = std::chrono::steady_clock::now();
-        status = ReadOnShard(s, io, shared_io, op);
-        if (metrics_ != nullptr) {
-          CountOp(s, kv::OpKind::kLookup, req.key);
-          metrics_->Observe(lookup_us_id_, ElapsedUs(start));
-        }
-      }
-      resp->code = !status.ok()
-                       ? status.code()
-                       : (resp->found ? Status::Code::kOk : Status::Code::kNotFound);
-      return status;
-    }
-    case kv::OpKind::kInsert: {
-      const std::size_t s = ShardFor(req.key);
-      Shard& shard = *shards_[s];
-      const auto run = [&] {
-        WriteGuard guard(shard);
-        const IoStatsSnapshot before = shard.index->io_stats().snapshot();
-        const Status status = shard.index->Insert(req.key, req.payload);
-        if (io != nullptr) *io += shard.index->io_stats().snapshot() - before;
-        return status;
-      };
-      Status status;
-      if (metrics_ == nullptr && trace_ == nullptr) {
-        status = run();
-      } else {
-        TraceRecorder::Scope span(trace_, "insert", "op", static_cast<int>(s));
-        const auto start = std::chrono::steady_clock::now();
-        status = run();
-        if (metrics_ != nullptr) {
-          CountOp(s, kv::OpKind::kInsert, req.key);
-          metrics_->Observe(insert_us_id_, ElapsedUs(start));
-        }
-      }
-      resp->code = status.code();
-      return status;
-    }
-    case kv::OpKind::kDelete: {
-      const std::size_t s = ShardFor(req.key);
-      Shard& shard = *shards_[s];
-      const auto run = [&] {
-        WriteGuard guard(shard);
-        const IoStatsSnapshot before = shard.index->io_stats().snapshot();
-        const Status status = shard.index->Delete(req.key);
-        if (io != nullptr) *io += shard.index->io_stats().snapshot() - before;
-        return status;
-      };
-      Status status;
-      if (metrics_ == nullptr && trace_ == nullptr) {
-        status = run();
-      } else {
-        TraceRecorder::Scope span(trace_, "delete", "op", static_cast<int>(s));
-        const auto start = std::chrono::steady_clock::now();
-        status = run();
-        if (metrics_ != nullptr) {
-          CountOp(s, kv::OpKind::kDelete, req.key);
-          metrics_->Observe(delete_us_id_, ElapsedUs(start));
-        }
-      }
-      resp->code = status.code();
-      return status;
-    }
-    case kv::OpKind::kReadModifyWrite: {
-      const std::size_t s = ShardFor(req.key);
-      Shard& shard = *shards_[s];
-      const auto run = [&] {
-        WriteGuard guard(shard);
-        const IoStatsSnapshot before = shard.index->io_stats().snapshot();
-        Status status = shard.index->Lookup(req.key, &resp->payload, &resp->found);
-        if (status.ok()) status = shard.index->Insert(req.key, req.payload);
-        if (io != nullptr) *io += shard.index->io_stats().snapshot() - before;
-        return status;
-      };
-      Status status;
-      if (metrics_ == nullptr && trace_ == nullptr) {
-        status = run();
-      } else {
-        TraceRecorder::Scope span(trace_, "rmw", "op", static_cast<int>(s));
-        const auto start = std::chrono::steady_clock::now();
-        status = run();
-        if (metrics_ != nullptr) {
-          CountOp(s, kv::OpKind::kReadModifyWrite, req.key);
-          metrics_->Observe(rmw_us_id_, ElapsedUs(start));
-        }
-      }
-      resp->code = status.code();
-      return status;
-    }
-    case kv::OpKind::kScan: {
-      if (req.scan_count == 0) {
-        resp->code = Status::Code::kInvalidArgument;
-        return Status::InvalidArgument("scan_count must be > 0");
-      }
-      std::vector<Record>* out = scan_dest != nullptr ? scan_dest : &resp->records;
-      const std::size_t count = req.scan_count;
-      const std::size_t first = ShardFor(req.key);
-      const auto run = [&] {
-        out->clear();
-        std::vector<Record> part;
-        Key cursor = req.key;
-        // Shards are visited in increasing order and latched one at a time,
-        // so concurrent cross-shard scans cannot deadlock with each other or
-        // with point operations. The price is the relaxed cross-shard
-        // guarantee documented on the class: each per-shard segment is
-        // atomic, the stitched result is not a point-in-time snapshot of the
-        // whole engine.
-        for (std::size_t s = first; s < shards_.size() && out->size() < count; ++s) {
-          if (cursor < lower_bounds_[s]) cursor = lower_bounds_[s];
-          const Status status = ReadOnShard(s, io, shared_io, [&](DiskIndex* index) {
-            return index->Scan(cursor, count - out->size(), &part);
-          });
-          LIOD_RETURN_IF_ERROR(status);
-          out->insert(out->end(), part.begin(), part.end());
-        }
-        return Status::Ok();
-      };
-      Status status;
-      if (metrics_ == nullptr && trace_ == nullptr) {
-        status = run();
-      } else {
-        // One span for the whole stitched scan, tagged with the starting
-        // shard.
-        TraceRecorder::Scope span(trace_, "scan", "op", static_cast<int>(first));
-        const auto start = std::chrono::steady_clock::now();
-        status = run();
-        if (metrics_ != nullptr) {
-          CountOp(first, kv::OpKind::kScan, req.key);
-          metrics_->Observe(scan_us_id_, ElapsedUs(start));
-        }
-      }
-      resp->code = status.code();
-      return status;
-    }
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    routes[i] = {static_cast<std::uint32_t>(ShardFor(requests[i].key)),
+                 static_cast<std::uint32_t>(i), 0.0};
   }
-  resp->code = Status::Code::kInvalidArgument;
-  return Status::InvalidArgument("ShardedEngine: unknown op kind");
-}
-
-void ShardedEngine::CountOp(std::size_t s, kv::OpKind kind, Key key) {
-  const ShardMetricIds& ids = shard_metric_ids_[s];
-  switch (kind) {
-    case kv::OpKind::kLookup: metrics_->Add(ids.lookups); break;
-    case kv::OpKind::kInsert: metrics_->Add(ids.inserts); break;
-    case kv::OpKind::kDelete: metrics_->Add(ids.deletes); break;
-    case kv::OpKind::kScan: metrics_->Add(ids.scans); break;
-    case kv::OpKind::kReadModifyWrite: metrics_->Add(ids.rmws); break;
-  }
-  if (!heat_.empty()) heat_[s]->Record(kind, key);
-}
-
-Status ShardedEngine::ContinueScan(std::size_t home, const kv::Request& req,
-                                   kv::Response* resp, IoStatsSnapshot* io,
-                                   std::vector<IoStatsSnapshot>* shared_io) {
-  std::vector<Record> part;
-  for (std::size_t s = home + 1;
-       s < shards_.size() && resp->records.size() < req.scan_count; ++s) {
-    const Key cursor = std::max(req.key, lower_bounds_[s]);
-    const Status status = ReadOnShard(s, io, shared_io, [&](DiskIndex* index) {
-      return index->Scan(cursor, req.scan_count - resp->records.size(), &part);
-    });
-    if (!status.ok()) {
-      resp->code = status.code();
-      return status;
-    }
-    resp->records.insert(resp->records.end(), part.begin(), part.end());
-  }
-  return Status::Ok();
-}
-
-Status ShardedEngine::ExecuteBatch(kv::RequestBatch& batch, IoStatsSnapshot* io,
-                                   std::vector<IoStatsSnapshot>* shared_io) {
-  auto& reqs = batch.requests;
-  auto& resps = batch.responses;
-  TraceRecorder::Scope span(trace_, "execute", "op");
-  std::chrono::steady_clock::time_point start;
-  if (metrics_ != nullptr) start = std::chrono::steady_clock::now();
-
-  // Stable partition by owning shard: one (shard, request-index) pair per
-  // request, sorted by shard only, so within a shard the batch order is
-  // preserved and shards are visited in increasing order (the engine-wide
-  // deadlock-free latch order).
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> order;
-  order.reserve(reqs.size());
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
-    order.emplace_back(static_cast<std::uint32_t>(ShardFor(reqs[i].key)),
-                       static_cast<std::uint32_t>(i));
-  }
-  std::stable_sort(order.begin(), order.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::sort(routes.begin(), routes.end(), [](const Route& a, const Route& b) {
+    return a.shard != b.shard ? a.shard < b.shard : a.index < b.index;
+  });
 
   Status first_failure;
-  std::vector<std::uint32_t> pending_scans;
-  for (std::size_t g = 0; g < order.size();) {
-    const std::uint32_t s = order[g].first;
+  const auto note_failure = [&first_failure](const Status& status) {
+    if (first_failure.ok() && !status.ok()) first_failure = status;
+  };
+  for (std::size_t g = 0; g < routes.size();) {
+    const std::size_t s = routes[g].shard;
     std::size_t end = g;
     bool has_write = false;
-    while (end < order.size() && order[end].first == s) {
-      has_write = has_write || kv::OpKindIsWrite(reqs[order[end].second].kind);
-      ++end;
+    for (; end < routes.size() && routes[end].shard == s; ++end) {
+      has_write = has_write || kv::OpKindIsWrite(requests[routes[end].index].kind);
     }
-
-    // The whole group runs under ONE latch acquisition; each request still
-    // dispatches through kv::ExecuteOnIndex, the tree's single op switch.
+    const std::span<Route> group = routes.subspan(g, end - g);
+    g = end;
     const auto run_group = [&](DiskIndex* index) {
-      for (std::size_t k = g; k < end; ++k) {
-        const std::uint32_t i = order[k].second;
-        const Status status =
-            kv::ExecuteOnIndex(index, std::span<const kv::Request>(&reqs[i], 1),
-                               std::span<kv::Response>(&resps[i], 1));
-        if (first_failure.ok() && IsHardFailure(resps[i].code)) first_failure = status;
-        if (metrics_ != nullptr) CountOp(s, reqs[i].kind, reqs[i].key);
+      for (Route& r : group) {
+        TraceRecorder::Scope span(trace_, kv::OpKindName(requests[r.index].kind), "op",
+                                  static_cast<int>(s));
+        std::chrono::steady_clock::time_point start;
+        if (metrics_ != nullptr) start = std::chrono::steady_clock::now();
+        note_failure(kv::ExecuteOnIndex(index, requests.subspan(r.index, 1),
+                                        responses.subspan(r.index, 1)));
+        if (metrics_ != nullptr) r.us = ElapsedUs(start);
       }
       return Status::Ok();
     };
+    // One latch acquisition for the whole group. Any write takes the shard
+    // exclusively, and the reads grouped with it run under the same latch.
+    (void)OnShard(s, has_write || options_.shard_lock_mode == ShardLockMode::kExclusive, io,
+                  shared_io, run_group);
+  }
 
-    if (has_write) {
-      // Any write in the group takes the shard exclusively for the whole
-      // group -- reads grouped with it execute under the same guard, and the
-      // writes' WAL appends tick the shared GroupCommitWindow so a batch of
-      // writes group-commits together.
-      Shard& shard = *shards_[s];
-      WriteGuard guard(shard);
-      const IoStatsSnapshot before = shard.index->io_stats().snapshot();
-      run_group(shard.index.get());
-      if (io != nullptr) *io += shard.index->io_stats().snapshot() - before;
-    } else {
-      const Status status = ReadOnShard(s, io, shared_io, run_group);
-      if (first_failure.ok() && !status.ok()) first_failure = status;
-    }
-
-    // Scans whose home-shard segment came up short continue across later
-    // shards after the partitioned pass (so they observe this batch's writes
-    // to those shards -- documented batch-visibility order).
-    for (std::size_t k = g; k < end; ++k) {
-      const std::uint32_t i = order[k].second;
-      if (reqs[i].kind == kv::OpKind::kScan && resps[i].code == Status::Code::kOk &&
-          resps[i].records.size() < reqs[i].scan_count &&
-          s + 1 < shards_.size()) {
-        pending_scans.push_back(i);
+  // Scans that came up short continue across later shards, one latch at a
+  // time and after every group has run (so they observe this batch's writes
+  // to those shards). Then each request is accounted to its home shard.
+  std::vector<Record> part;
+  for (Route& r : routes) {
+    const kv::Request& req = requests[r.index];
+    kv::Response& resp = responses[r.index];
+    if (req.kind == kv::OpKind::kScan && resp.code == Status::Code::kOk) {
+      for (std::size_t s = r.shard + 1;
+           s < shards_.size() && resp.records.size() < req.scan_count; ++s) {
+        TraceRecorder::Scope span(trace_, "scan", "op", static_cast<int>(s));
+        std::chrono::steady_clock::time_point start;
+        if (metrics_ != nullptr) start = std::chrono::steady_clock::now();
+        const Key cursor = std::max(req.key, lower_bounds_[s]);
+        const Status status = OnShard(
+            s, options_.shard_lock_mode == ShardLockMode::kExclusive, io, shared_io,
+            [&](DiskIndex* index) {
+              return index->Scan(cursor, req.scan_count - resp.records.size(), &part);
+            });
+        if (metrics_ != nullptr) r.us += ElapsedUs(start);
+        if (!status.ok()) {
+          resp.code = status.code();
+          note_failure(status);
+          break;
+        }
+        resp.records.insert(resp.records.end(), part.begin(), part.end());
       }
     }
-    g = end;
+    if (metrics_ != nullptr) {
+      metrics_->Add(shard_metric_ids_[r.shard].ops[static_cast<std::size_t>(req.kind)]);
+      metrics_->Observe(op_us_ids_[static_cast<std::size_t>(req.kind)], r.us);
+      if (!heat_.empty()) heat_[r.shard]->Record(req.kind, req.key);
+    }
   }
-
-  for (const std::uint32_t i : pending_scans) {
-    const Status status =
-        ContinueScan(ShardFor(reqs[i].key), reqs[i], &resps[i], io, shared_io);
-    if (first_failure.ok() && !status.ok()) first_failure = status;
-  }
-
-  if (metrics_ != nullptr) metrics_->Observe(execute_us_id_, ElapsedUs(start));
   return first_failure;
 }
 
@@ -666,14 +412,7 @@ Status ShardedEngine::Execute(kv::RequestBatch& batch, IoStatsSnapshot* io,
                               std::vector<IoStatsSnapshot>* shared_io) {
   LIOD_RETURN_IF_ERROR(CheckReady());
   batch.responses.resize(batch.requests.size());
-  if (batch.requests.empty()) return Status::Ok();
-  if (batch.requests.size() == 1) {
-    // Single-request fast path: no partitioning scratch, no batch span --
-    // identical code to the historical per-op methods. Both runners drive
-    // this path, which is what keeps the pre-redesign I/O pins bit-exact.
-    return ExecuteSingle(batch.requests[0], &batch.responses[0], io, shared_io, nullptr);
-  }
-  return ExecuteBatch(batch, io, shared_io);
+  return Dispatch(batch.requests, batch.responses, io, shared_io);
 }
 
 Status ShardedEngine::Lookup(Key key, Payload* payload, bool* found, IoStatsSnapshot* io,
@@ -681,7 +420,7 @@ Status ShardedEngine::Lookup(Key key, Payload* payload, bool* found, IoStatsSnap
   LIOD_RETURN_IF_ERROR(CheckReady());
   const kv::Request req{kv::OpKind::kLookup, key, 0, 0};
   kv::Response resp;
-  const Status status = ExecuteSingle(req, &resp, io, shared_io, nullptr);
+  const Status status = Dispatch({&req, 1}, {&resp, 1}, io, shared_io);
   if (payload != nullptr && resp.found) *payload = resp.payload;
   if (found != nullptr) *found = resp.found;
   return status;
@@ -691,14 +430,14 @@ Status ShardedEngine::Insert(Key key, Payload payload, IoStatsSnapshot* io) {
   LIOD_RETURN_IF_ERROR(CheckReady());
   const kv::Request req{kv::OpKind::kInsert, key, payload, 0};
   kv::Response resp;
-  return ExecuteSingle(req, &resp, io, nullptr, nullptr);
+  return Dispatch({&req, 1}, {&resp, 1}, io, nullptr);
 }
 
 Status ShardedEngine::Delete(Key key, IoStatsSnapshot* io) {
   LIOD_RETURN_IF_ERROR(CheckReady());
   const kv::Request req{kv::OpKind::kDelete, key, 0, 0};
   kv::Response resp;
-  return ExecuteSingle(req, &resp, io, nullptr, nullptr);
+  return Dispatch({&req, 1}, {&resp, 1}, io, nullptr);
 }
 
 Status ShardedEngine::ReadModifyWrite(Key key, Payload payload, bool* found,
@@ -706,7 +445,7 @@ Status ShardedEngine::ReadModifyWrite(Key key, Payload payload, bool* found,
   LIOD_RETURN_IF_ERROR(CheckReady());
   const kv::Request req{kv::OpKind::kReadModifyWrite, key, payload, 0};
   kv::Response resp;
-  const Status status = ExecuteSingle(req, &resp, io, nullptr, nullptr);
+  const Status status = Dispatch({&req, 1}, {&resp, 1}, io, nullptr);
   if (found != nullptr) *found = resp.found;
   return status;
 }
@@ -714,15 +453,18 @@ Status ShardedEngine::ReadModifyWrite(Key key, Payload payload, bool* found,
 Status ShardedEngine::Scan(Key start_key, std::size_t count, std::vector<Record>* out,
                            IoStatsSnapshot* io, std::vector<IoStatsSnapshot>* shared_io) {
   LIOD_RETURN_IF_ERROR(CheckReady());
-  kv::Request req{kv::OpKind::kScan, start_key, 0, static_cast<std::uint32_t>(count)};
-  kv::Response resp;
   if (count == 0) {
     // Historical contract: a zero-length engine scan clears `out` and
     // succeeds (only the wire/batch surface rejects it).
     out->clear();
     return Status::Ok();
   }
-  return ExecuteSingle(req, &resp, io, shared_io, out);
+  const kv::Request req{kv::OpKind::kScan, start_key, 0, static_cast<std::uint32_t>(count)};
+  kv::Response resp;
+  resp.records.swap(*out);  // reuse the caller's capacity
+  const Status status = Dispatch({&req, 1}, {&resp, 1}, io, shared_io);
+  out->swap(resp.records);
+  return status;
 }
 
 Status ShardedEngine::DropCaches() {
@@ -735,7 +477,7 @@ Status ShardedEngine::DropCaches() {
 Status ShardedEngine::FlushBuffers() {
   LIOD_RETURN_IF_ERROR(CheckReady());
   for (auto& shard : shards_) {
-    WriteGuard guard(*shard);
+    std::lock_guard<std::shared_mutex> lock(shard->mu);
     LIOD_RETURN_IF_ERROR(shard->index->FlushBuffers());
   }
   return Status::Ok();
@@ -744,7 +486,7 @@ Status ShardedEngine::FlushBuffers() {
 Status ShardedEngine::FlushUpdates() {
   LIOD_RETURN_IF_ERROR(CheckReady());
   for (auto& shard : shards_) {
-    WriteGuard guard(*shard);
+    std::lock_guard<std::shared_mutex> lock(shard->mu);
     LIOD_RETURN_IF_ERROR(shard->index->FlushUpdates());
   }
   return Status::Ok();

@@ -12,9 +12,9 @@ namespace liod::kv {
 /// THE per-operation dispatch of the tree: executes `requests` against a
 /// single DiskIndex, in order, filling `responses` (which must be the same
 /// length; each slot is Reset first). The sequential runner calls this
-/// directly; ShardedEngine::Execute calls it under the owning shard's latch
-/// for every request it routes -- so there is exactly one switch in the
-/// codebase that turns an OpKind into index calls.
+/// directly; ShardedEngine calls it under the owning shard's latch for every
+/// request it routes, whatever the batch size -- so there is exactly one
+/// switch in the codebase that turns an OpKind into index calls.
 ///
 /// Per-op outcomes land in responses[i].code. Execution never stops early:
 /// a failed op does not prevent later ops in the span from running (the

@@ -1,6 +1,7 @@
 #ifndef LIOD_KV_REQUEST_H_
 #define LIOD_KV_REQUEST_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -13,7 +14,8 @@ namespace liod::kv {
 /// sequential runner, the ConcurrentRunner, liod_cli, the examples, and the
 /// socket server -- expresses operations as these requests and dispatches
 /// them through ONE path: kv::ExecuteOnIndex (bare DiskIndex) or
-/// ShardedEngine::Execute (sharded engine), the latter built on the former.
+/// ShardedEngine::Execute (sharded engine), the latter built on the former
+/// for batches of every size.
 /// Numeric values are the wire encoding (src/server/protocol.h): append-only,
 /// never renumber.
 enum class OpKind : std::uint8_t {
@@ -23,6 +25,11 @@ enum class OpKind : std::uint8_t {
   kScan = 3,             ///< range scan of up to scan_count records from key
   kReadModifyWrite = 4,  ///< YCSB-F: read current value, then upsert payload
 };
+
+/// Number of OpKind values; the kinds are dense from 0, so a kind indexes
+/// per-kind arrays.
+inline constexpr std::size_t kNumOpKinds =
+    static_cast<std::size_t>(OpKind::kReadModifyWrite) + 1;
 
 /// Stable display name ("lookup", ...); "unknown" for invalid values.
 const char* OpKindName(OpKind kind);

@@ -162,8 +162,10 @@ void PlaBuilder::CloseSegment() {
     // line B through rect_[1] with slope max_slope.
     long double ix, iy;
     if (min_slope == max_slope) {
+      // Parallel extreme lines: line A itself is feasible for every covered
+      // point, so the model runs through rect_[0] unshifted.
       ix = static_cast<long double>(rect_[0].x);
-      iy = static_cast<long double>(rect_[0].y) - static_cast<long double>(epsilon_);
+      iy = static_cast<long double>(rect_[0].y);
     } else {
       const long double a0x = static_cast<long double>(rect_[0].x);
       const long double a0y = static_cast<long double>(rect_[0].y);

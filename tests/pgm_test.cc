@@ -10,6 +10,7 @@
 #include "pgm/static_pgm.h"
 #include "storage/block_device.h"
 #include "test_util.h"
+#include "workload/datasets.h"
 
 namespace liod {
 namespace {
@@ -162,6 +163,21 @@ TEST_P(StaticPgmPropertyTest, EveryKeyReachable) {
 INSTANTIATE_TEST_SUITE_P(Sweep, StaticPgmPropertyTest,
                          ::testing::Combine(::testing::Values(0, 1, 2),
                                             ::testing::Values(8u, 64u, 256u)));
+
+TEST(StaticPgm, FindsKeysUnderParallelExtremeLineSegment) {
+  // The fb keys of OptimalPla.ParallelExtremeLinesStayWithinBound: the keys
+  // at these positions sit in the segment whose extreme lines are parallel.
+  StaticPgmFixture f;
+  const auto keys = MakeDataset("fb", 2'000'000, 105);
+  ASSERT_TRUE(f.pgm.Build(ToRecords(keys)).ok());
+  for (std::size_t i = 220838; i <= 220965; ++i) {
+    Payload p = 0;
+    bool found = false;
+    ASSERT_TRUE(f.pgm.Lookup(keys[i], &p, &found).ok());
+    ASSERT_TRUE(found) << "i=" << i;
+    EXPECT_EQ(p, PayloadFor(keys[i]));
+  }
+}
 
 // --- DynamicPgmIndex ----------------------------------------------------
 

@@ -9,6 +9,7 @@
 #include "segmentation/greedy_segmentation.h"
 #include "segmentation/piecewise_linear.h"
 #include "test_util.h"
+#include "workload/datasets.h"
 
 namespace liod {
 namespace {
@@ -72,6 +73,16 @@ TEST(OptimalPla, ZeroEpsilonStillCovers) {
     covered += seg.count;
   }
   EXPECT_EQ(covered, keys.size());
+}
+
+TEST(OptimalPla, ParallelExtremeLinesStayWithinBound) {
+  // fb at this size and seed closes a segment whose two extreme lines are
+  // parallel (the segment near position 220609); the model must keep every
+  // covered key within epsilon there too.
+  const auto keys = MakeDataset("fb", 2'000'000, 105);
+  for (const auto& seg : BuildOptimalPla(keys, 64)) {
+    ASSERT_TRUE(ValidatePlaSegment(seg, keys, 64)) << "segment at pos " << seg.first_pos;
+  }
 }
 
 TEST(OptimalPla, MoreErrorFewerSegments) {

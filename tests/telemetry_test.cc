@@ -27,6 +27,7 @@
 #include "core/op_breakdown.h"
 #include "engine/concurrent_runner.h"
 #include "engine/sharded_engine.h"
+#include "kv/request.h"
 #include "storage/disk_model.h"
 #include "storage/io_stats.h"
 #include "telemetry/metric_registry.h"
@@ -544,6 +545,45 @@ TEST(TelemetryEngineTest, InstrumentedRunEmitsEverySpanKindAndConsistentCounters
        {"\"name\":\"lookup\"", "\"name\":\"insert\"", "\"name\":\"merge.drain\"",
         "\"name\":\"wal.force\"", "\"name\":\"checkpoint\""}) {
     EXPECT_NE(json.find(needle), std::string::npos) << "missing span " << needle;
+  }
+}
+
+TEST(TelemetryEngineTest, BatchedRequestsEachRecordTheirKindLatency) {
+  // Multi-request batches go through the same dispatch as single ops, so
+  // every request -- not just one-request batches -- lands one sample in
+  // engine.<kind>_us, matching the per-shard op counters kind for kind.
+  MetricRegistry registry;
+  EngineOptions options = TelemetryEngineOptions(MergeMode::kSync);
+  options.index.metrics = &registry;
+  ShardedEngine engine(options);
+  const std::vector<Key> keys = UniformKeys(4000, 3);
+  ASSERT_TRUE(engine.Bulkload(ToRecords(keys)).ok());
+  ASSERT_EQ(engine.num_shards(), 2u);
+
+  for (std::size_t round = 0; round < 10; ++round) {
+    // Eight mixed ops spread over both shards, plus a scan that starts just
+    // below shard 1 and continues into it.
+    kv::RequestBatch batch;
+    for (std::size_t j = 0; j < 8; ++j) {
+      const Key key = keys[j * (keys.size() / 8) + round];
+      switch (j % 4) {
+        case 0: batch.AddLookup(key); break;
+        case 1: batch.AddInsert(key + 1, key); break;
+        case 2: batch.AddDelete(key); break;
+        default: batch.AddReadModifyWrite(key, key); break;
+      }
+    }
+    batch.AddScan(engine.shard_lower_bounds()[1] - 1, 4);
+    ASSERT_TRUE(engine.Execute(batch).ok());
+    ASSERT_EQ(batch.responses.back().records.size(), 4u);
+  }
+
+  const MetricsSnapshot snap = registry.Snapshot();
+  for (const std::string kind : {"lookup", "insert", "delete", "rmw", "scan"}) {
+    const std::uint64_t ops =
+        snap.counters.at("shard0.ops." + kind) + snap.counters.at("shard1.ops." + kind);
+    EXPECT_EQ(ops, kind == "scan" ? 10u : 20u) << kind;
+    EXPECT_EQ(snap.histograms.at("engine." + kind + "_us").count, ops) << kind;
   }
 }
 

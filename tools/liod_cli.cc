@@ -189,7 +189,7 @@ void Usage() {
       "             spans all shards in engine mode) --write-back\n"
       "           --scan-length N --disk hdd|ssd|both --csv --inner-in-memory\n"
       "           --threads N --shards N (engine mode when either > 1) --zipf THETA\n"
-      "           --lock-mode exclusive|shared|optimistic (engine shard latches)\n"
+      "           --lock-mode exclusive|shared (engine shard latches)\n"
       "           --update-buffer BLOCKS (0 = in-place) --merge-mode sync|background\n"
       "           --merge-threshold F (fraction of staging capacity; > 1 spills runs)\n"
       "           --durability none|async|group-commit|sync-per-op (WAL for the\n"
