@@ -21,11 +21,6 @@ namespace {
 RunResult RunBuffered(const std::string& index_name, const std::string& dataset,
                       WorkloadType type, const BenchArgs& args,
                       const IndexOptions& options) {
-  auto index = MakeIndex(index_name, options);
-  if (index == nullptr) {
-    std::fprintf(stderr, "unknown index %s\n", index_name.c_str());
-    std::exit(2);
-  }
   const bool grows = WorkloadGrowsDataset(type);
   const std::size_t dataset_keys = grows ? args.write_bulk + args.write_ops : args.write_bulk;
   const auto keys = MakeDataset(dataset, dataset_keys, args.seed);
@@ -35,7 +30,7 @@ RunResult RunBuffered(const std::string& index_name, const std::string& dataset,
   spec.operations = args.write_ops;
   spec.seed = args.seed + 3;
   const Workload w = BuildWorkload(keys, spec);
-  return MustRun(index.get(), w);
+  return MustRun(index_name, options, w);
 }
 
 }  // namespace

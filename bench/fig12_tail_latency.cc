@@ -24,14 +24,13 @@ int main(int argc, char** argv) {
     std::printf("%-10s", dataset.c_str());
     const auto keys = MakeDataset(dataset, args.search_keys, args.seed);
     for (const auto& idx : args.indexes) {
-      auto index = MakeIndex(idx, options);
       WorkloadSpec spec;
       spec.type = WorkloadType::kLookupOnly;
       spec.operations = args.search_ops;
       spec.seed = args.seed + 1;
       RunnerConfig config;
       config.record_samples = true;
-      const RunResult r = MustRun(index.get(), BuildWorkload(keys, spec), config);
+      const RunResult r = MustRun(idx, options, BuildWorkload(keys, spec), config);
       char cell[40];
       std::snprintf(cell, sizeof(cell), "%.1f/%.1f",
                     r.LatencyPercentileUs(0.99, hdd) / 1000.0,

@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "engine/concurrent_runner.h"
+#include "engine/runner.h"
 #include "engine/sharded_engine.h"
 
 using namespace liod;
@@ -152,10 +152,10 @@ int main(int argc, char** argv) {
 
     // The workload depends only on (spec, thread count): build each thread
     // count's tapes once and reuse them across the index x shards sweep.
-    std::vector<ConcurrentWorkload> tapes_by_thread;
+    std::vector<Workload> tapes_by_thread;
     tapes_by_thread.reserve(args.threads.size());
     for (std::size_t threads : args.threads) {
-      tapes_by_thread.push_back(BuildConcurrentWorkload(keys, spec, threads));
+      tapes_by_thread.push_back(BuildWorkload(keys, spec, threads));
     }
 
     for (const std::string& index_name : args.indexes) {
@@ -176,10 +176,9 @@ int main(int argc, char** argv) {
             engine_options.index = BenchOptions();
             ShardedEngine engine(engine_options);
 
-            const ConcurrentWorkload& w = tapes_by_thread[ti];
-            ConcurrentRunResult result;
-            const Status status =
-                RunConcurrentWorkload(&engine, w, ConcurrentRunnerConfig{}, &result);
+            const Workload& w = tapes_by_thread[ti];
+            RunResult result;
+            const Status status = RunWorkload(&engine, w, RunnerConfig{}, &result);
             if (!status.ok()) {
               std::fprintf(stderr, "FATAL %s/%s t=%zu s=%zu %s: %s\n", index_name.c_str(),
                            workload_name.c_str(), threads, shards, ShardLockModeName(mode),

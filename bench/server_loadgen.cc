@@ -1,13 +1,13 @@
 // server_loadgen: multi-client closed-loop driver for `liod_cli serve`.
 //
 // Spawns one KvClient per client thread against a running server, replays a
-// deterministic workload tape (the same BuildConcurrentWorkload machinery the
-// in-process ConcurrentRunner uses, so a loadgen run and an engine-mode run
-// draw identical op sequences), and reports end-to-end throughput plus
-// p50/p99/p999 WALL latency per request round trip -- socket, framing, queue
-// wait, and engine execution included. Closed loop: each client keeps exactly
-// --batch ops in flight (one Call at a time), so offered load scales with
-// --clients and queueing delay shows up in the tail, not in a drop counter.
+// deterministic workload tape (the same BuildWorkload machinery the in-process
+// runner uses, so a loadgen run and an engine-mode run draw identical op
+// sequences), and reports end-to-end throughput plus p50/p99/p999 WALL
+// latency per request round trip -- socket, framing, queue wait, and engine
+// execution included. Closed loop: each client keeps exactly --batch ops in
+// flight (one Call at a time), so offered load scales with --clients and
+// queueing delay shows up in the tail, not in a drop counter.
 //
 //   server_loadgen --connect unix:/tmp/liod.sock|tcp:PORT
 //                  [--clients 1,2,4,8] [--ops N] [--batch N]
@@ -262,7 +262,7 @@ int main(int argc, char** argv) {
     spec.scan_length = args.scan_length;
     spec.seed = args.seed + 1;
     spec.zipf_theta = args.zipf_theta;
-    const ConcurrentWorkload w = BuildConcurrentWorkload(keys, spec, clients);
+    const Workload w = BuildWorkload(keys, spec, clients);
 
     std::vector<ClientResult> results(clients);
     std::vector<std::thread> threads;

@@ -67,12 +67,7 @@ int main(int argc, char** argv) {
           options.update_buffer_merge_mode = point.mode;
           options.update_buffer_merge_threshold = point.threshold;
           telemetry.Apply(&options);
-          auto index = MakeIndex(index_name, options);
-          if (index == nullptr) {
-            std::fprintf(stderr, "unknown index %s\n", index_name.c_str());
-            return 2;
-          }
-          telemetry.EnsureSampler();
+          ShardedEngine engine(OneShard(index_name, options));
           const bool grows = WorkloadGrowsDataset(type);
           const std::size_t dataset_keys =
               grows ? args.write_bulk + args.write_ops : args.write_bulk;
@@ -85,11 +80,13 @@ int main(int argc, char** argv) {
           const Workload w = BuildWorkload(keys, spec);
           RunnerConfig config;
           config.check_lookups = true;  // all configs must answer identically
-          telemetry.Apply(&config);
-          const RunResult result = MustRun(index.get(), w, config);
+          // After bulkload every metric of the run is registered, so the
+          // sampler's frozen columns include them.
+          config.before_ops = [&telemetry] { telemetry.EnsureSampler(); };
+          const RunResult result = MustRun(&engine, w, config);
 
           std::uint64_t merges = 0, spills = 0;
-          if (auto* buffered = dynamic_cast<UpdateBufferedIndex*>(index.get())) {
+          if (auto* buffered = dynamic_cast<UpdateBufferedIndex*>(engine.shard(0))) {
             merges = buffered->merges_completed();
             spills = buffered->total_spills();
           }

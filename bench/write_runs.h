@@ -17,40 +17,34 @@ inline const std::vector<WorkloadType>& WriteWorkloads() {
   return *types;
 }
 
-/// Runs one write-containing workload for one index on one dataset; dataset
-/// keys are drawn once (bulk sample + disjoint insert pool, Section 5.2).
-inline RunResult RunWrite(const std::string& index_name, const std::string& dataset,
-                          WorkloadType type, const BenchArgs& args,
-                          const IndexOptions& options, RunnerConfig config = {}) {
-  auto index = MakeIndex(index_name, options);
-  if (index == nullptr) {
-    std::fprintf(stderr, "unknown index %s\n", index_name.c_str());
-    std::exit(2);
-  }
+/// The write workload of `type` on `dataset`; dataset keys are drawn once
+/// (bulk sample + disjoint insert pool, Section 5.2).
+inline Workload WriteWorkload(const std::string& dataset, WorkloadType type,
+                              const BenchArgs& args) {
   const auto keys = MakeDataset(dataset, args.write_bulk + args.write_ops, args.seed);
   WorkloadSpec spec;
   spec.type = type;
   spec.bulk_keys = args.write_bulk;
   spec.operations = args.write_ops;
   spec.seed = args.seed + 3;
-  const Workload w = BuildWorkload(keys, spec);
-  return MustRun(index.get(), w, config);
+  return BuildWorkload(keys, spec);
 }
 
-/// Same but also returns the index so callers can inspect phase breakdowns.
+/// Runs one write-containing workload for one index on one dataset.
+inline RunResult RunWrite(const std::string& index_name, const std::string& dataset,
+                          WorkloadType type, const BenchArgs& args,
+                          const IndexOptions& options, const RunnerConfig& config = {}) {
+  return MustRun(index_name, options, WriteWorkload(dataset, type, args), config);
+}
+
+/// Same but also returns the one-shard engine so callers can inspect phase
+/// breakdowns (engine->shard(0)->breakdown()).
 inline RunResult RunWriteWithIndex(const std::string& index_name,
                                    const std::string& dataset, WorkloadType type,
                                    const BenchArgs& args, const IndexOptions& options,
-                                   std::unique_ptr<DiskIndex>* index_out) {
-  *index_out = MakeIndex(index_name, options);
-  const auto keys = MakeDataset(dataset, args.write_bulk + args.write_ops, args.seed);
-  WorkloadSpec spec;
-  spec.type = type;
-  spec.bulk_keys = args.write_bulk;
-  spec.operations = args.write_ops;
-  spec.seed = args.seed + 3;
-  const Workload w = BuildWorkload(keys, spec);
-  return MustRun(index_out->get(), w);
+                                   std::unique_ptr<ShardedEngine>* engine_out) {
+  *engine_out = std::make_unique<ShardedEngine>(OneShard(index_name, options));
+  return MustRun(engine_out->get(), WriteWorkload(dataset, type, args));
 }
 
 }  // namespace liod::bench

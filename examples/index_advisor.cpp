@@ -15,8 +15,8 @@
 #include <string>
 
 #include "core/index_factory.h"
+#include "engine/runner.h"
 #include "workload/datasets.h"
-#include "workload/runner.h"
 
 using namespace liod;
 
@@ -46,11 +46,12 @@ int main(int argc, char** argv) {
   std::string best_name;
   double best_tput = 0.0;
   for (const auto& name : StudiedIndexNames()) {
-    IndexOptions options;
-    options.alex_max_data_node_slots = 4096;
-    auto index = MakeIndex(name, options);
+    EngineOptions options;
+    options.index_name = name;
+    options.index.alex_max_data_node_slots = 4096;
+    ShardedEngine engine(options);  // one shard: the whole index
     RunResult result;
-    const Status status = RunWorkload(index.get(), w, RunnerConfig{}, &result);
+    const Status status = RunWorkload(&engine, w, RunnerConfig{}, &result);
     if (!status.ok()) {
       std::printf("%-10s failed: %s\n", name.c_str(), status.ToString().c_str());
       continue;

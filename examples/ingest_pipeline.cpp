@@ -10,9 +10,8 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/index_factory.h"
+#include "engine/runner.h"
 #include "workload/datasets.h"
-#include "workload/runner.h"
 
 using namespace liod;
 
@@ -33,13 +32,15 @@ int main(int argc, char** argv) {
     double tput[2] = {0, 0};
     const char* names[2] = {"btree", "pgm"};
     for (int i = 0; i < 2; ++i) {
-      auto index = MakeIndex(names[i], IndexOptions{});
+      EngineOptions options;
+      options.index_name = names[i];
+      ShardedEngine engine(options);  // one shard: the whole index
       WorkloadSpec spec;
       spec.type = type;
       spec.bulk_keys = rows / 3;
       spec.operations = rows / 3;
       RunResult result;
-      CheckOk(RunWorkload(index.get(), BuildWorkload(keys, spec), RunnerConfig{}, &result),
+      CheckOk(RunWorkload(&engine, BuildWorkload(keys, spec), RunnerConfig{}, &result),
               "ingest run");
       tput[i] = result.ThroughputOps(hdd);
     }

@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
 
   // 2. Operations go through the unified KV request/response vocabulary: one
   //    batch holding a lookup, an insert, and a 10-element scan, dispatched
-  //    through kv::ExecuteOnIndex (the same path the engine, runners, and
+  //    through kv::ExecuteOnIndex (the same path the engine, runner, and
   //    server use). Per-op outcomes land in the paired responses.
   index->io_stats().Reset();
   kv::RequestBatch batch;

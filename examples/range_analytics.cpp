@@ -10,9 +10,8 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/index_factory.h"
+#include "engine/runner.h"
 #include "workload/datasets.h"
-#include "workload/runner.h"
 
 using namespace liod;
 
@@ -29,13 +28,15 @@ int main(int argc, char** argv) {
   const char* contenders[] = {"btree",       "alex",       "lipp",
                               "hybrid-alex", "hybrid-lipp"};
   for (const char* name : contenders) {
-    auto index = MakeIndex(name, IndexOptions{});
+    EngineOptions options;
+    options.index_name = name;
+    ShardedEngine engine(options);  // one shard: the whole index
     WorkloadSpec spec;
     spec.type = WorkloadType::kScanOnly;
     spec.operations = 3'000;
     spec.scan_length = scan_len;
     RunResult result;
-    CheckOk(RunWorkload(index.get(), BuildWorkload(keys, spec), RunnerConfig{}, &result),
+    CheckOk(RunWorkload(&engine, BuildWorkload(keys, spec), RunnerConfig{}, &result),
             "scan run");
     std::printf("%-14s %14.1f %14.2f\n", name, result.ThroughputOps(ssd),
                 result.AvgBlocksReadPerOp());

@@ -6,9 +6,12 @@ Usage:
                      --candidate BENCH_smoke.json [--threshold 0.15]
 
 Rows are matched by their identifying columns (label, index, workload, plus
-whatever configuration axes both documents carry: dataset, disk, threads,
+whatever configuration axes the baseline row carries: dataset, disk, threads,
 shards, durability, buffer_blocks, checkpoint_every, merge mode/threshold).
-For every baseline row the candidate must contain the same key, and:
+Each baseline row matches the one candidate row that agrees on every key
+column the baseline row carries; a candidate row may carry more key columns
+than its baseline row (a newer schema adds axes without orphaning the
+baseline). For every baseline row exactly one candidate row must match, and:
 
   - counted writes (``writes_per_op``) must not grow by more than the
     threshold (plus a small absolute epsilon, so near-zero baselines do not
@@ -19,10 +22,11 @@ For every baseline row the candidate must contain the same key, and:
 Counted reads/writes are deterministic in this repo (simulated devices, fixed
 seeds); modeled throughput folds in measured CPU, which the disk model's I/O
 latency dominates -- the default 15% margin absorbs runner-to-runner CPU
-variance without masking a real regression. A baseline key missing from the
-candidate fails too (silent coverage loss is a regression); candidate-only
-keys are reported but do not fail, so adding rows never requires touching
-this script.
+variance without masking a real regression. A baseline row that matches no
+candidate row fails too (silent coverage loss is a regression), and so does
+one that matches several (the baseline cannot tell them apart); candidate
+rows no baseline row matched are reported but do not fail, so adding rows
+never requires touching this script.
 
 The measured wall-clock columns (``wall_us``, ``wall_p50_us``,
 ``wall_p999_us``) and the ``device`` tag are deliberately NOT gated: on a
@@ -50,7 +54,7 @@ def fail(message: str) -> None:
     sys.exit(1)
 
 
-def load_rows(path: str) -> dict:
+def load_rows(path: str) -> list:
     try:
         with open(path) as f:
             document = json.load(f)
@@ -59,16 +63,23 @@ def load_rows(path: str) -> dict:
     rows = document.get("rows")
     if not isinstance(rows, list) or not rows:
         fail(f"{path} has no rows")
-    keyed = {}
+    keyed = []
+    seen = set()
     for row in rows:
         key = tuple((c, str(row[c])) for c in KEY_COLUMNS if c in row)
-        if key in keyed:
+        if key in seen:
             fail(f"{path}: duplicate row key {dict(key)}")
+        seen.add(key)
         for metric in ("writes_per_op", "tput_ops_s"):
             if not isinstance(row.get(metric), (int, float)):
                 fail(f"{path}: row {dict(key)} lacks numeric {metric}")
-        keyed[key] = row
+        keyed.append((key, row))
     return keyed
+
+
+def matches(base_key: tuple, candidate_row: dict) -> bool:
+    """True when the candidate agrees on every key column of the baseline."""
+    return all(c in candidate_row and str(candidate_row[c]) == v for c, v in base_key)
 
 
 def main() -> None:
@@ -84,12 +95,18 @@ def main() -> None:
 
     failures = []
     compared = 0
-    for key, base in baseline.items():
-        new = candidate.get(key)
+    matched = set()
+    for key, base in baseline:
         name = ", ".join(f"{c}={v}" for c, v in key)
-        if new is None:
+        hits = [i for i, (_, row) in enumerate(candidate) if matches(key, row)]
+        if not hits:
             failures.append(f"missing from candidate: {name}")
             continue
+        if len(hits) > 1:
+            failures.append(f"ambiguous: {len(hits)} candidate rows match {name}")
+            continue
+        matched.add(hits[0])
+        new = candidate[hits[0]][1]
         compared += 1
         writes_limit = base["writes_per_op"] * (1 + args.threshold) + WRITES_EPSILON
         if new["writes_per_op"] > writes_limit:
@@ -103,7 +120,7 @@ def main() -> None:
                 f"modeled throughput regressed: {name}: {new['tput_ops_s']:.1f} ops/s "
                 f"vs baseline {base['tput_ops_s']:.1f} (floor {tput_floor:.1f})")
 
-    extra = [k for k in candidate if k not in baseline]
+    extra = [key for i, (key, _) in enumerate(candidate) if i not in matched]
     for key in extra:
         print("compare_bench: note: candidate-only row (not compared): "
               + ", ".join(f"{c}={v}" for c, v in key))

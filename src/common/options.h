@@ -220,7 +220,7 @@ struct IndexOptions {
   /// logical block write is a counted device write). When true, writes only
   /// dirty the cached frame and the device write is paid (and counted) on
   /// eviction or flush -- the write-back mode of a real buffer pool.
-  /// Consumed via BufferManager; the workload runners flush at the end of
+  /// Consumed via BufferManager; the workload runner flushes at the end of
   /// each measured window so deferred writes are attributed to it.
   bool buffer_write_back = false;
 
@@ -294,8 +294,8 @@ struct IndexOptions {
   GroupCommitWindow* group_commit = nullptr;
 
   /// Non-owning escape hatch: when set, the components under this index
-  /// (UpdateBufferedIndex, WalWriter, RecoveryManager, plus ShardedEngine
-  /// and the runners, which read it from their own options) record named
+  /// (UpdateBufferedIndex, WalWriter, RecoveryManager, plus ShardedEngine,
+  /// which reads it from its own options) record named
   /// counters/gauges/histograms here. Default nullptr = telemetry off: the
   /// hot paths see one null-pointer branch and every existing bit-exact I/O
   /// pin is untouched. Metrics observe, never perturb: recording changes no

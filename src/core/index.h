@@ -87,14 +87,14 @@ class DiskIndex {
   virtual Status DropCaches();
 
   /// Writes back every dirty frame of every file without dropping it. The
-  /// workload runners call this at the end of each measured window so
+  /// workload runner calls this at the end of each measured window so
   /// write-back I/O is attributed to the window that deferred it. No-op
   /// under write-through.
   virtual Status FlushBuffers();
 
   /// Drains any out-of-place staged updates into the base structure. No-op
   /// for indexes that apply updates in place (the default); the update-buffer
-  /// decorator overrides it with a full merge. The workload runners call it
+  /// decorator overrides it with a full merge. The workload runner calls it
   /// at the end of each measured window, before FlushBuffers, so deferred
   /// merge I/O is paid inside the window that staged it.
   virtual Status FlushUpdates() { return Status::Ok(); }

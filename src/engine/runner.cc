@@ -1,7 +1,8 @@
-#include "engine/concurrent_runner.h"
+#include "engine/runner.h"
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <thread>
 
 #include "kv/request.h"
@@ -17,7 +18,7 @@ double ElapsedUs(std::chrono::steady_clock::time_point start) {
 }
 
 Status RunTape(ShardedEngine* engine, const std::vector<WorkloadOp>& ops,
-               std::size_t scan_length, const ConcurrentRunnerConfig& config,
+               std::size_t scan_length, const RunnerConfig& config,
                ThreadRunResult* out) {
   if (config.record_samples) out->samples.reserve(ops.size());
   // Per-shard shared-latch I/O of THIS thread (stays all-zero under the
@@ -40,8 +41,8 @@ Status RunTape(ShardedEngine* engine, const std::vector<WorkloadOp>& ops,
         (op.kind == WorkloadOp::Kind::kLookup ||
          op.kind == WorkloadOp::Kind::kReadModifyWrite)) {
       return Status::Corruption(
-          (op.kind == WorkloadOp::Kind::kLookup ? "concurrent lookup missed key "
-                                                : "concurrent RMW missed key ") +
+          (op.kind == WorkloadOp::Kind::kLookup ? "workload lookup missed key "
+                                                : "workload RMW missed key ") +
           std::to_string(op.key));
     }
     out->io += delta;
@@ -61,9 +62,26 @@ Status RunTape(ShardedEngine* engine, const std::vector<WorkloadOp>& ops,
   return Status::Ok();
 }
 
+/// Every thread's samples mapped through `value`, in thread then tape order.
+template <typename Value>
+std::vector<double> CollectSamples(const std::vector<ThreadRunResult>& threads, Value value) {
+  std::vector<double> out;
+  for (const ThreadRunResult& t : threads) {
+    for (const OpSample& s : t.samples) out.push_back(value(s));
+  }
+  return out;
+}
+
+/// Nearest-rank q-quantile; 0 for no samples.
+double Quantile(std::vector<double> values, double q) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  return values[std::min(values.size() - 1, static_cast<std::size_t>(q * values.size()))];
+}
+
 }  // namespace
 
-double ConcurrentRunResult::MakespanUs(const DiskModel& model) const {
+double RunResult::MakespanUs(const DiskModel& model) const {
   double makespan = 0.0;
   for (const ThreadRunResult& t : threads) makespan = std::max(makespan, t.MakespanUs(model));
   for (std::size_t s = 0; s < shard_io.size(); ++s) {
@@ -91,48 +109,55 @@ double ConcurrentRunResult::MakespanUs(const DiskModel& model) const {
   return makespan;
 }
 
-double ConcurrentRunResult::ThroughputOps(const DiskModel& model) const {
+double RunResult::ThroughputOps(const DiskModel& model) const {
   const double makespan_us = MakespanUs(model);
   if (operations == 0 || makespan_us <= 0.0) return 0.0;
   return static_cast<double>(operations) / (makespan_us / 1e6);
 }
 
-double ConcurrentRunResult::AvgBlocksReadPerOp() const {
+double RunResult::AvgBlocksReadPerOp() const {
   return operations == 0 ? 0.0
                          : static_cast<double>(io.TotalReads()) /
                                static_cast<double>(operations);
 }
 
-double ConcurrentRunResult::LatencyPercentileUs(double q, const DiskModel& model) const {
-  std::vector<double> latencies;
-  for (const ThreadRunResult& t : threads) {
-    for (const OpSample& s : t.samples) {
-      latencies.push_back(RunResult::SampleLatencyUs(s, model));
-    }
-  }
-  if (latencies.empty()) return 0.0;
-  std::sort(latencies.begin(), latencies.end());
-  const std::size_t idx =
-      std::min(latencies.size() - 1, static_cast<std::size_t>(q * latencies.size()));
-  return latencies[idx];
+double RunResult::AvgBlocksPerOp() const {
+  return operations == 0 ? 0.0
+                         : static_cast<double>(io.TotalIo()) /
+                               static_cast<double>(operations);
 }
 
-double ConcurrentRunResult::WallPercentileUs(double q) const {
-  std::vector<double> latencies;
-  for (const ThreadRunResult& t : threads) {
-    for (const OpSample& s : t.samples) latencies.push_back(s.cpu_us);
-  }
-  if (latencies.empty()) return 0.0;
-  std::sort(latencies.begin(), latencies.end());
-  const std::size_t idx =
-      std::min(latencies.size() - 1, static_cast<std::size_t>(q * latencies.size()));
-  return latencies[idx];
+double RunResult::SampleLatencyUs(const OpSample& s, const DiskModel& model) {
+  return s.cpu_us + s.reads * model.read_latency_us + s.writes * model.write_latency_us;
 }
 
-Status RunConcurrentWorkload(ShardedEngine* engine, const ConcurrentWorkload& workload,
-                             const ConcurrentRunnerConfig& config,
-                             ConcurrentRunResult* result) {
-  *result = ConcurrentRunResult{};
+double RunResult::LatencyPercentileUs(double q, const DiskModel& model) const {
+  const auto latency = [&model](const OpSample& s) { return SampleLatencyUs(s, model); };
+  return Quantile(CollectSamples(threads, latency), q);
+}
+
+double RunResult::LatencyStdDevUs(const DiskModel& model) const {
+  const auto latency = [&model](const OpSample& s) { return SampleLatencyUs(s, model); };
+  const std::vector<double> latencies = CollectSamples(threads, latency);
+  if (latencies.empty()) return 0.0;
+  double sum = 0.0, sum_sq = 0.0;
+  for (const double l : latencies) {
+    sum += l;
+    sum_sq += l * l;
+  }
+  const double n = static_cast<double>(latencies.size());
+  const double mean = sum / n;
+  return std::sqrt(std::max(0.0, sum_sq / n - mean * mean));
+}
+
+double RunResult::WallPercentileUs(double q) const {
+  const auto wall = [](const OpSample& s) { return static_cast<double>(s.cpu_us); };
+  return Quantile(CollectSamples(threads, wall), q);
+}
+
+Status RunWorkload(ShardedEngine* engine, const Workload& workload, const RunnerConfig& config,
+                   RunResult* result) {
+  *result = RunResult{};
   result->lock_mode = engine->options().shard_lock_mode;
 
   // --- bulkload phase -------------------------------------------------------
@@ -143,7 +168,7 @@ Status RunConcurrentWorkload(ShardedEngine* engine, const ConcurrentWorkload& wo
   // (no-op under write-through).
   LIOD_RETURN_IF_ERROR(engine->FlushBuffers());
   result->bulkload_io = engine->MergedIo();
-  if (config.drop_caches_after_bulkload) LIOD_RETURN_IF_ERROR(engine->DropCaches());
+  LIOD_RETURN_IF_ERROR(engine->DropCaches());
 
   // --- measured op phase ----------------------------------------------------
   if (config.before_ops) config.before_ops();

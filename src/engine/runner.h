@@ -1,5 +1,5 @@
-#ifndef LIOD_ENGINE_CONCURRENT_RUNNER_H_
-#define LIOD_ENGINE_CONCURRENT_RUNNER_H_
+#ifndef LIOD_ENGINE_RUNNER_H_
+#define LIOD_ENGINE_RUNNER_H_
 
 #include <atomic>
 #include <cstdint>
@@ -9,10 +9,17 @@
 #include "common/status.h"
 #include "engine/sharded_engine.h"
 #include "storage/disk_model.h"
-#include "workload/runner.h"
 #include "workload/workloads.h"
 
 namespace liod {
+
+/// Per-operation measurement: wall time plus the exact block I/O, so modeled
+/// latency can be computed for any disk model after the fact.
+struct OpSample {
+  float cpu_us;
+  std::uint32_t reads;
+  std::uint32_t writes;
+};
 
 /// Result of one thread's op tape.
 struct ThreadRunResult {
@@ -31,8 +38,8 @@ struct ThreadRunResult {
   double MakespanUs(const DiskModel& model) const { return cpu_us + model.IoMicros(io); }
 };
 
-/// Result of executing one ConcurrentWorkload against one ShardedEngine.
-struct ConcurrentRunResult {
+/// Result of executing one Workload against one ShardedEngine.
+struct RunResult {
   std::uint64_t operations = 0;  ///< total across threads
   double bulkload_cpu_us = 0.0;
   IoStatsSnapshot bulkload_io;
@@ -63,18 +70,24 @@ struct ConcurrentRunResult {
   /// Modeled throughput in operations/second: operations / makespan.
   double ThroughputOps(const DiskModel& model) const;
   double AvgBlocksReadPerOp() const;
+  double AvgBlocksPerOp() const;
+
+  /// Modeled latency of one sample under `model`, in microseconds.
+  static double SampleLatencyUs(const OpSample& s, const DiskModel& model);
   /// p-quantile (e.g. 0.99) of modeled per-op latency over every thread's
   /// samples. Requires record_samples.
   double LatencyPercentileUs(double q, const DiskModel& model) const;
+  /// Standard deviation of modeled per-op latency over every thread's
+  /// samples. Requires record_samples.
+  double LatencyStdDevUs(const DiskModel& model) const;
   /// p-quantile of MEASURED per-op wall time over every thread's samples (on
   /// a real device this includes the actual I/O). Requires record_samples.
   double WallPercentileUs(double q) const;
 };
 
-struct ConcurrentRunnerConfig {
+struct RunnerConfig {
   bool record_samples = false;  ///< keep per-op samples (tail-latency study)
-  bool drop_caches_after_bulkload = true;
-  bool check_lookups = false;  ///< fail if a lookup or RMW misses its key
+  bool check_lookups = false;   ///< fail if a lookup or RMW misses its key
   /// Bumped once per completed operation across all tapes (relaxed); a
   /// progress-reporting thread may read it concurrently. Non-owning, may be
   /// null. Per-op metrics and spans come from the engine itself
@@ -87,14 +100,15 @@ struct ConcurrentRunnerConfig {
   std::function<void()> before_ops;
 };
 
-/// Bulkloads `workload.bulk` into the engine, then executes every thread tape
-/// concurrently, one std::thread per tape. Tapes from BuildConcurrentWorkload
-/// only look up keys they know are live, so check_lookups is safe under any
-/// interleaving. Returns the first per-thread error, if any.
-Status RunConcurrentWorkload(ShardedEngine* engine, const ConcurrentWorkload& workload,
-                             const ConcurrentRunnerConfig& config,
-                             ConcurrentRunResult* result);
+/// Bulkloads `workload.bulk` into the engine, drops its caches (the measured
+/// phase starts cold), then executes every thread tape concurrently, one
+/// std::thread per tape (a single tape runs on the calling thread). Tapes
+/// from BuildWorkload only look up keys they know are live, so check_lookups
+/// is safe under any interleaving. Returns the first per-thread error, if
+/// any.
+Status RunWorkload(ShardedEngine* engine, const Workload& workload, const RunnerConfig& config,
+                   RunResult* result);
 
 }  // namespace liod
 
-#endif  // LIOD_ENGINE_CONCURRENT_RUNNER_H_
+#endif  // LIOD_ENGINE_RUNNER_H_

@@ -130,7 +130,7 @@ class ShardedEngine {
   /// of writes group-commits together), under the configured read mode
   /// otherwise. Every request runs through kv::ExecuteOnIndex. Within a
   /// shard, requests execute in batch order; across shards, shard order wins
-  /// (documented relaxation -- both runners drive batch size 1, where the
+  /// (documented relaxation -- the runner drives batch size 1, where the
   /// two orders coincide).
   ///
   /// Scans that exhaust their home shard continue across later shards after
@@ -157,7 +157,7 @@ class ShardedEngine {
 
   /// Point lookup on the owning shard. When `io` is non-null, the exact
   /// block I/O this call performed is accumulated into it (per-thread I/O
-  /// attribution for the concurrent runner): snapshot-delta under an
+  /// attribution for the runner): snapshot-delta under an
   /// exclusive latch, thread-exact tally under a shared one. When
   /// `shared_io` is non-null and the op ran under a SHARED latch, the same
   /// delta is also accumulated into (*shared_io)[owning shard] (resized to
@@ -192,13 +192,13 @@ class ShardedEngine {
   Status DropCaches();
 
   /// Writes back every shard's dirty frames (no-op under write-through).
-  /// Takes each shard exclusively; the concurrent runner calls it after the
+  /// Takes each shard exclusively; the runner calls it after the
   /// measured window so deferred write-back I/O is attributed to the run.
   Status FlushBuffers();
 
   /// Drains every shard's out-of-place update buffer into its base index
   /// (no-op for in-place indexes). Takes each shard exclusively; the
-  /// concurrent runner calls it at the end of the measured window, before
+  /// runner calls it at the end of the measured window, before
   /// FlushBuffers, so deferred merge I/O lands in the run that staged it.
   Status FlushUpdates();
 

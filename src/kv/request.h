@@ -11,11 +11,11 @@
 namespace liod::kv {
 
 /// The unified KV operation vocabulary. Every caller in the tree -- the
-/// sequential runner, the ConcurrentRunner, liod_cli, the examples, and the
-/// socket server -- expresses operations as these requests and dispatches
-/// them through ONE path: kv::ExecuteOnIndex (bare DiskIndex) or
-/// ShardedEngine::Execute (sharded engine), the latter built on the former
-/// for batches of every size.
+/// workload runner, liod_cli, the examples, and the socket server --
+/// expresses operations as these requests and dispatches them through ONE
+/// path: kv::ExecuteOnIndex (bare DiskIndex) or ShardedEngine::Execute
+/// (sharded engine), the latter built on the former for batches of every
+/// size.
 /// Numeric values are the wire encoding (src/server/protocol.h): append-only,
 /// never renumber.
 enum class OpKind : std::uint8_t {
@@ -80,7 +80,7 @@ struct Response {
 
 /// A batch of requests plus their response slots. Execute resizes
 /// `responses` to match `requests`; reusing one RequestBatch across calls
-/// amortizes every allocation (the runners drive millions of ops through one
+/// amortizes every allocation (the runner drives millions of ops through one
 /// batch object).
 struct RequestBatch {
   std::vector<Request> requests;

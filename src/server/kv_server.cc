@@ -271,8 +271,7 @@ void KvServer::WorkerLoop() {
     }
     if (slow_ring_ != nullptr && queue_us + execute_us >= options_.slow_op_us) {
       // The batch is the admission/execution unit, so its latencies are
-      // attributed to each of its ops (exact for single-op frames, which is
-      // what both runners send).
+      // attributed to each of its ops (exact for single-op frames).
       for (const kv::Request& req : batch.requests) {
         SlowOpRecord rec;
         rec.kind = static_cast<std::uint8_t>(req.kind);

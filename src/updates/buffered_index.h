@@ -47,7 +47,7 @@ namespace liod {
 /// MakeAuxFile, so every spill write and probe read is a counted block I/O
 /// in the base's IoStats and flows through the base's BufferManager budget
 /// like any other file. io_stats()/breakdown() forward to the base, so
-/// runners and benches see one unified counter set.
+/// the runner and benches see one unified counter set.
 ///
 /// Durability (IndexOptions::durability != kNone, src/recovery/): every
 /// Insert/Delete appends a CRC'd record to a write-ahead log BEFORE staging
@@ -92,7 +92,7 @@ class UpdateBufferedIndex : public DiskIndex {
   IndexStats GetIndexStats() const override;
 
   /// Full drain: waits out any background merge, then merges everything
-  /// still buffered. The runners call this at the end of each measured
+  /// still buffered. The runner calls this at the end of each measured
   /// window so merge I/O is paid inside the window that staged it.
   Status FlushUpdates() override;
 

@@ -266,11 +266,10 @@ std::vector<WorkloadOp> GenerateTape(const TapeParams& p, Rng rng,
 
 }  // namespace
 
-ConcurrentWorkload BuildConcurrentWorkload(const std::vector<Key>& dataset_keys,
-                                           const WorkloadSpec& spec,
-                                           std::size_t num_threads) {
+Workload BuildWorkload(const std::vector<Key>& dataset_keys, const WorkloadSpec& spec,
+                       std::size_t num_threads) {
   if (num_threads == 0) num_threads = 1;
-  ConcurrentWorkload out;
+  Workload out;
   out.scan_length = spec.scan_length;
   if (dataset_keys.empty()) {  // nothing to load or insert: empty tapes
     out.thread_ops.resize(num_threads);
@@ -333,15 +332,6 @@ ConcurrentWorkload BuildConcurrentWorkload(const std::vector<Key>& dataset_keys,
         GenerateTape(params, Rng(DeriveSeed(spec.seed, t)), bulk_keys, std::move(shares[t])));
   }
   return out;
-}
-
-Workload BuildWorkload(const std::vector<Key>& dataset_keys, const WorkloadSpec& spec) {
-  ConcurrentWorkload cw = BuildConcurrentWorkload(dataset_keys, spec, 1);
-  Workload w;
-  w.bulk = std::move(cw.bulk);
-  w.ops = std::move(cw.thread_ops[0]);
-  w.scan_length = cw.scan_length;
-  return w;
 }
 
 kv::Request ToRequest(const WorkloadOp& op, std::size_t scan_length) {

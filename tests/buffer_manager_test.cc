@@ -9,16 +9,16 @@
 #include <gtest/gtest.h>
 
 #include "core/index_factory.h"
+#include "engine/runner.h"
+#include "test_util.h"
 #include "workload/datasets.h"
-#include "workload/runner.h"
 #include "workload/workloads.h"
 
 namespace liod {
 namespace {
 
 RunResult MustRunYcsbA(const IndexOptions& options, const std::string& index_name = "btree") {
-  auto index = MakeIndex(index_name, options);
-  EXPECT_NE(index, nullptr);
+  ShardedEngine engine(testing_util::OneShard(index_name, options));
   const auto keys = MakeDataset("fb", 20'000, 42);
   WorkloadSpec spec;
   spec.type = WorkloadType::kYcsbA;  // 50% reads / 50% updates, zipfian
@@ -28,7 +28,7 @@ RunResult MustRunYcsbA(const IndexOptions& options, const std::string& index_nam
   RunnerConfig config;
   config.check_lookups = true;  // every key is live: any miss is corruption
   RunResult result;
-  const Status status = RunWorkload(index.get(), w, config, &result);
+  const Status status = RunWorkload(&engine, w, config, &result);
   EXPECT_TRUE(status.ok()) << status.ToString();
   return result;
 }

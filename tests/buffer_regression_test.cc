@@ -8,13 +8,14 @@
 // changed. Extend the tables rather than editing them.
 
 #include <array>
+#include <ostream>
 #include <string>
 
 #include <gtest/gtest.h>
 
-#include "core/index_factory.h"
+#include "engine/runner.h"
+#include "test_util.h"
 #include "workload/datasets.h"
-#include "workload/runner.h"
 #include "workload/workloads.h"
 
 namespace liod {
@@ -29,6 +30,10 @@ struct PinnedIo {
   Counts bulk_reads;  // bulkload phase
   Counts bulk_writes;
 };
+
+// Names the parameter by its index, so gtest does not dump the struct's bytes
+// (a pointer among them) into the test name.
+void PrintTo(const PinnedIo& pinned, std::ostream* os) { *os << pinned.index; }
 
 // fb dataset (30k keys, seed 42); non-hybrids run Balanced (bulk 20k ops
 // 10k, seed 43), the search-only hybrids run Lookup-Only over the same
@@ -69,8 +74,7 @@ constexpr PinnedIo kPinned[] = {
 RunResult RunPinnedWorkload(const std::string& name) {
   IndexOptions options;  // paper defaults: 4 KB blocks, buffer 1, LRU, write-through
   options.alex_max_data_node_slots = 4096;
-  auto index = MakeIndex(name, options);
-  EXPECT_NE(index, nullptr) << name;
+  ShardedEngine engine(testing_util::OneShard(name, options));
   const auto keys = MakeDataset("fb", 30'000, 42);
   WorkloadSpec spec;
   const bool hybrid = name.rfind("hybrid-", 0) == 0;
@@ -81,7 +85,7 @@ RunResult RunPinnedWorkload(const std::string& name) {
   const Workload w = BuildWorkload(keys, spec);
   RunnerConfig config;
   RunResult result;
-  const Status status = RunWorkload(index.get(), w, config, &result);
+  const Status status = RunWorkload(&engine, w, config, &result);
   EXPECT_TRUE(status.ok()) << name << ": " << status.ToString();
   return result;
 }

@@ -14,11 +14,11 @@
 #include <gtest/gtest.h>
 
 #include "core/index_factory.h"
+#include "engine/runner.h"
 #include "storage/block_device.h"
 #include "storage/direct_device.h"
 #include "test_util.h"
 #include "workload/datasets.h"
-#include "workload/runner.h"
 #include "workload/workloads.h"
 
 namespace liod {
@@ -336,9 +336,9 @@ TEST_P(DevicePinTest, YcsbACountedIoIdenticalAcrossDevices) {
     options.alex_max_data_node_slots = 1024;
     options.device = kind;
     if (kind != DeviceKind::kModeled) options.device_path = ::testing::TempDir();
-    auto index = MakeIndex(name, options);
+    ShardedEngine engine(testing_util::OneShard(name, options));
     RunResult result;
-    EXPECT_TRUE(RunWorkload(index.get(), workload, RunnerConfig{}, &result).ok())
+    EXPECT_TRUE(RunWorkload(&engine, workload, RunnerConfig{}, &result).ok())
         << name << " on " << DeviceKindName(kind);
     return result;
   };

@@ -5,7 +5,7 @@
 // returns the pre- or the post-insert answer (linearizability-lite). The
 // determinism suites pin that the shared mode counts exactly the
 // I/O the exclusive mode counts, and the model suite pins the lock-mode-
-// aware makespan bound of the concurrent runner.
+// aware makespan bound of the runner.
 
 #include <algorithm>
 #include <atomic>
@@ -17,12 +17,11 @@
 
 #include <gtest/gtest.h>
 
-#include "engine/concurrent_runner.h"
+#include "engine/runner.h"
 #include "engine/sharded_engine.h"
 #include "storage/disk_model.h"
 #include "test_util.h"
 #include "workload/datasets.h"
-#include "workload/runner.h"
 #include "workload/workloads.h"
 
 namespace liod {
@@ -180,19 +179,19 @@ TEST(EngineConcurrencyDeterminismTest, AllModesMatchExclusiveOnYcsbBTape) {
   spec.type = WorkloadType::kYcsbB;
   spec.bulk_keys = 6000;
   spec.operations = 3000;
-  const ConcurrentWorkload w = BuildConcurrentWorkload(keys, spec, 1);
+  const Workload w = BuildWorkload(keys, spec, 1);
 
-  ConcurrentRunnerConfig config;
+  RunnerConfig config;
   config.check_lookups = true;
-  ConcurrentRunResult exclusive;
+  RunResult exclusive;
   {
     ShardedEngine engine(SmallEngineOptions("btree", 2, ShardLockMode::kExclusive));
-    ASSERT_TRUE(RunConcurrentWorkload(&engine, w, config, &exclusive).ok());
+    ASSERT_TRUE(RunWorkload(&engine, w, config, &exclusive).ok());
   }
   for (ShardLockMode mode : {ShardLockMode::kShared}) {
     ShardedEngine engine(SmallEngineOptions("btree", 2, mode));
-    ConcurrentRunResult result;
-    ASSERT_TRUE(RunConcurrentWorkload(&engine, w, config, &result).ok());
+    RunResult result;
+    ASSERT_TRUE(RunWorkload(&engine, w, config, &result).ok());
     EXPECT_EQ(result.operations, exclusive.operations);
     ExpectSameCountedIo(result.io, exclusive.io, ShardLockModeName(mode));
     ExpectSameCountedIo(result.bulkload_io, exclusive.bulkload_io, ShardLockModeName(mode));
@@ -213,9 +212,9 @@ TEST(EngineConcurrencyDeterminismTest, ReadOnlyTapeCountsIdenticallyAcrossModes)
   spec.type = WorkloadType::kYcsbC;
   spec.bulk_keys = 6000;
   spec.operations = 4000;
-  const ConcurrentWorkload w = BuildConcurrentWorkload(keys, spec, 8);
+  const Workload w = BuildWorkload(keys, spec, 8);
 
-  ConcurrentRunnerConfig config;
+  RunnerConfig config;
   config.check_lookups = true;
   IoStatsSnapshot reference;
   bool have_reference = false;
@@ -223,8 +222,8 @@ TEST(EngineConcurrencyDeterminismTest, ReadOnlyTapeCountsIdenticallyAcrossModes)
     EngineOptions options = SmallEngineOptions("btree", 2, mode);
     options.index.buffer_pool_blocks = 4096;  // nothing ever evicts
     ShardedEngine engine(options);
-    ConcurrentRunResult result;
-    ASSERT_TRUE(RunConcurrentWorkload(&engine, w, config, &result).ok());
+    RunResult result;
+    ASSERT_TRUE(RunWorkload(&engine, w, config, &result).ok());
     EXPECT_EQ(result.operations, spec.operations);
     // Thread-exact attribution must cover the merged op-phase I/O exactly
     // in every mode (tally under shared, snapshot-delta under
@@ -266,7 +265,7 @@ TEST(EngineConcurrencyModelTest, SharedModeShardBoundOverlapsReaders) {
   // Shared: readers overlap -> bound is exclusive leftovers (none here) plus
   // the slowest single thread's shared I/O.
   const DiskModel ssd = DiskModel::Ssd();
-  ConcurrentRunResult result;
+  RunResult result;
   result.operations = 100;
   result.threads.resize(2);
   auto reads = [](std::uint64_t n) {
@@ -309,11 +308,11 @@ TEST(EngineConcurrencyModelTest, ReadScalingEmergesWithSharedLocking) {
   spec.bulk_keys = 6000;
   spec.operations = 4000;
   const DiskModel ssd = DiskModel::Ssd();
-  const ConcurrentWorkload w = BuildConcurrentWorkload(keys, spec, 8);
+  const Workload w = BuildWorkload(keys, spec, 8);
 
   ShardedEngine engine(SmallEngineOptions("btree", 2, ShardLockMode::kShared));
-  ConcurrentRunResult result;
-  ASSERT_TRUE(RunConcurrentWorkload(&engine, w, ConcurrentRunnerConfig{}, &result).ok());
+  RunResult result;
+  ASSERT_TRUE(RunWorkload(&engine, w, RunnerConfig{}, &result).ok());
   ASSERT_EQ(result.lock_mode, ShardLockMode::kShared);
   for (ThreadRunResult& t : result.threads) t.cpu_us = 0.0;
 

@@ -6,10 +6,10 @@
 #include <gtest/gtest.h>
 
 #include "core/index_factory.h"
-#include "engine/concurrent_runner.h"
+#include "engine/runner.h"
 #include "engine/sharded_engine.h"
+#include "kv/execute.h"
 #include "workload/datasets.h"
-#include "workload/runner.h"
 #include "workload/workloads.h"
 
 namespace liod {
@@ -234,12 +234,12 @@ TEST(ShardedEngineSharedBuffer, ConcurrentYcsbARunsGreenUnderSharedWriteBack) {
   spec.type = WorkloadType::kYcsbA;
   spec.operations = 8000;
   spec.seed = 11;
-  const ConcurrentWorkload w = BuildConcurrentWorkload(keys, spec, 4);
+  const Workload w = BuildWorkload(keys, spec, 4);
 
-  ConcurrentRunnerConfig config;
+  RunnerConfig config;
   config.check_lookups = true;
-  ConcurrentRunResult result;
-  ASSERT_TRUE(RunConcurrentWorkload(&engine, w, config, &result).ok());
+  RunResult result;
+  ASSERT_TRUE(RunWorkload(&engine, w, config, &result).ok());
   EXPECT_EQ(result.operations, 8000u);
 
   const IoStatsSnapshot& io = result.io;
@@ -272,9 +272,47 @@ TEST(ShardedEngineSharedBuffer, AllShardsShareOneManager) {
   EXPECT_NE(&engine2.shard(0)->buffer_manager(), &engine2.shard(1)->buffer_manager());
 }
 
+/// The single-index reference the one-shard engine must match: the tape
+/// driven straight through kv::ExecuteOnIndex on a bare index, with the
+/// runner's phase boundaries (bulkload + flush, cache drop, ops, end-of-run
+/// update and buffer flushes).
+struct BareIndexRun {
+  std::uint64_t operations = 0;
+  IoStatsSnapshot bulkload_io;
+  IoStatsSnapshot io;
+  IndexStats stats_after;
+};
+
+Status RunOnBareIndex(DiskIndex* index, const Workload& w, BareIndexRun* out) {
+  LIOD_RETURN_IF_ERROR(index->Bulkload(w.bulk));
+  LIOD_RETURN_IF_ERROR(index->FlushBuffers());
+  out->bulkload_io = index->io_stats().snapshot();
+  LIOD_RETURN_IF_ERROR(index->DropCaches());
+  const IoStatsSnapshot before_ops = index->io_stats().snapshot();
+  kv::Request request;
+  kv::Response response;
+  for (const WorkloadOp& op : w.thread_ops[0]) {
+    request = ToRequest(op, w.scan_length);
+    LIOD_RETURN_IF_ERROR(kv::ExecuteOnIndex(index, std::span<const kv::Request>(&request, 1),
+                                            std::span<kv::Response>(&response, 1)));
+    const bool reads = op.kind == WorkloadOp::Kind::kLookup ||
+                       op.kind == WorkloadOp::Kind::kReadModifyWrite;
+    if (reads && !response.found) {
+      return Status::Corruption("reference missed key " + std::to_string(op.key));
+    }
+    ++out->operations;
+  }
+  LIOD_RETURN_IF_ERROR(index->FlushUpdates());
+  LIOD_RETURN_IF_ERROR(index->FlushBuffers());
+  out->io = index->io_stats().snapshot() - before_ops;
+  out->stats_after = index->GetIndexStats();
+  return Status::Ok();
+}
+
 TEST(ConcurrentRunner, SingleThreadMatchesSequentialRunner) {
-  // Acceptance gate: with 1 shard / 1 thread the engine path must produce
-  // operation counts and I/O totals identical to the classic RunWorkload.
+  // Acceptance gate: with 1 shard / 1 thread the runner must produce
+  // operation counts and I/O totals identical to driving the same tape
+  // sequentially through kv::ExecuteOnIndex on a bare index.
   const auto keys = MakeDataset("osm", 20000, 11);
   for (WorkloadType type : {WorkloadType::kBalanced, WorkloadType::kYcsbA,
                             WorkloadType::kYcsbE, WorkloadType::kYcsbF}) {
@@ -283,34 +321,24 @@ TEST(ConcurrentRunner, SingleThreadMatchesSequentialRunner) {
     spec.bulk_keys = 5000;
     spec.operations = 2000;
     spec.scan_length = 20;
+    const Workload w = BuildWorkload(keys, spec);
+    ASSERT_EQ(w.thread_ops.size(), 1u);
 
-    const Workload sequential = BuildWorkload(keys, spec);
-    const ConcurrentWorkload concurrent = BuildConcurrentWorkload(keys, spec, 1);
-    ASSERT_EQ(concurrent.thread_ops.size(), 1u);
-    ASSERT_EQ(concurrent.thread_ops[0], sequential.ops) << WorkloadTypeName(type);
-    ASSERT_EQ(concurrent.bulk, sequential.bulk);
+    const EngineOptions options = SmallEngineOptions("btree", 1);
+    auto index = MakeIndex(options.index_name, options.index);
+    BareIndexRun reference;
+    ASSERT_TRUE(RunOnBareIndex(index.get(), w, &reference).ok()) << WorkloadTypeName(type);
 
-    IndexOptions options;
-    options.alex_max_data_node_slots = 2048;
-    auto index = MakeIndex("btree", options);
+    ShardedEngine engine(options);
     RunnerConfig config;
     config.check_lookups = true;
-    RunResult sequential_result;
-    ASSERT_TRUE(RunWorkload(index.get(), sequential, config, &sequential_result).ok());
+    RunResult result;
+    ASSERT_TRUE(RunWorkload(&engine, w, config, &result).ok());
 
-    ShardedEngine engine(SmallEngineOptions("btree", 1));
-    ConcurrentRunnerConfig cconfig;
-    cconfig.check_lookups = true;
-    ConcurrentRunResult concurrent_result;
-    ASSERT_TRUE(RunConcurrentWorkload(&engine, concurrent, cconfig, &concurrent_result).ok());
-
-    EXPECT_EQ(concurrent_result.operations, sequential_result.operations)
-        << WorkloadTypeName(type);
-    EXPECT_EQ(concurrent_result.io, sequential_result.io) << WorkloadTypeName(type);
-    EXPECT_EQ(concurrent_result.bulkload_io, sequential_result.bulkload_io)
-        << WorkloadTypeName(type);
-    EXPECT_EQ(concurrent_result.stats_after.num_records,
-              sequential_result.stats_after.num_records);
+    EXPECT_EQ(result.operations, reference.operations) << WorkloadTypeName(type);
+    EXPECT_EQ(result.io, reference.io) << WorkloadTypeName(type);
+    EXPECT_EQ(result.bulkload_io, reference.bulkload_io) << WorkloadTypeName(type);
+    EXPECT_EQ(result.stats_after.num_records, reference.stats_after.num_records);
   }
 }
 
@@ -320,7 +348,7 @@ TEST(ConcurrentRunner, TapesPartitionOperationsAndInserts) {
   spec.type = WorkloadType::kWriteHeavy;
   spec.bulk_keys = 3000;
   spec.operations = 5001;  // odd on purpose: remainder ops spread over threads
-  const ConcurrentWorkload w = BuildConcurrentWorkload(keys, spec, 4);
+  const Workload w = BuildWorkload(keys, spec, 4);
 
   ASSERT_EQ(w.thread_ops.size(), 4u);
   std::size_t total = 0;
@@ -341,7 +369,7 @@ TEST(ConcurrentRunner, TapesPartitionOperationsAndInserts) {
 
   // Same spec, same thread count: byte-identical tapes (cross-run
   // determinism of the DeriveSeed-derived streams).
-  const ConcurrentWorkload again = BuildConcurrentWorkload(keys, spec, 4);
+  const Workload again = BuildWorkload(keys, spec, 4);
   for (std::size_t t = 0; t < 4; ++t) EXPECT_EQ(again.thread_ops[t], w.thread_ops[t]);
 }
 
@@ -353,7 +381,7 @@ TEST(ConcurrentRunner, SynthesizedInsertKeysStayDisjointAcrossThreads) {
   spec.type = WorkloadType::kWriteOnly;
   spec.bulk_keys = 1000;
   spec.operations = 6000;  // pool holds only 2000 fresh keys
-  const ConcurrentWorkload w = BuildConcurrentWorkload(keys, spec, 3);
+  const Workload w = BuildWorkload(keys, spec, 3);
 
   std::set<Key> inserted;
   std::size_t insert_count = 0;
@@ -378,13 +406,13 @@ TEST_P(ConcurrentSmokeTest, FourThreadsTwoShardsRunGreen) {
     spec.bulk_keys = 6000;
     spec.operations = 2000;
     spec.scan_length = 10;
-    const ConcurrentWorkload w = BuildConcurrentWorkload(keys, spec, 4);
+    const Workload w = BuildWorkload(keys, spec, 4);
 
     ShardedEngine engine(SmallEngineOptions(GetParam(), 2));
-    ConcurrentRunnerConfig config;
+    RunnerConfig config;
     config.check_lookups = true;  // tapes only read keys they know are live
-    ConcurrentRunResult result;
-    ASSERT_TRUE(RunConcurrentWorkload(&engine, w, config, &result).ok())
+    RunResult result;
+    ASSERT_TRUE(RunWorkload(&engine, w, config, &result).ok())
         << GetParam() << " on " << WorkloadTypeName(type);
     EXPECT_EQ(result.operations, spec.operations);
     EXPECT_EQ(result.threads.size(), 4u);
@@ -412,13 +440,13 @@ TEST(ConcurrentRunner, RecordsPerThreadSamples) {
   WorkloadSpec spec;
   spec.type = WorkloadType::kYcsbC;
   spec.operations = 1200;
-  const ConcurrentWorkload w = BuildConcurrentWorkload(keys, spec, 3);
+  const Workload w = BuildWorkload(keys, spec, 3);
 
   ShardedEngine engine(SmallEngineOptions("btree", 3));
-  ConcurrentRunnerConfig config;
+  RunnerConfig config;
   config.record_samples = true;
-  ConcurrentRunResult result;
-  ASSERT_TRUE(RunConcurrentWorkload(&engine, w, config, &result).ok());
+  RunResult result;
+  ASSERT_TRUE(RunWorkload(&engine, w, config, &result).ok());
   for (std::size_t t = 0; t < 3; ++t) {
     EXPECT_EQ(result.threads[t].samples.size(), w.thread_ops[t].size());
   }

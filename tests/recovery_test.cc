@@ -18,7 +18,7 @@
 
 #include "common/random.h"
 #include "core/index_factory.h"
-#include "engine/concurrent_runner.h"
+#include "engine/runner.h"
 #include "engine/sharded_engine.h"
 #include "recovery/checkpoint_manager.h"
 #include "recovery/durable_store.h"
@@ -706,11 +706,11 @@ TEST(RecoveryEngineTest, ConcurrentGroupCommitEngineStaysConsistent) {
   spec.bulk_keys = 5000;
   spec.operations = 4000;
   spec.seed = 14;
-  const ConcurrentWorkload workload = BuildConcurrentWorkload(keys, spec, 2);
-  ConcurrentRunnerConfig config;
+  const Workload workload = BuildWorkload(keys, spec, 2);
+  RunnerConfig config;
   config.check_lookups = true;
-  ConcurrentRunResult result;
-  ASSERT_TRUE(RunConcurrentWorkload(&engine, workload, config, &result).ok());
+  RunResult result;
+  ASSERT_TRUE(RunWorkload(&engine, workload, config, &result).ok());
   // Two threads logged through two per-shard WALs behind one shared
   // group-commit window; the WAL cost is real and counted.
   EXPECT_GT(result.io.WritesFor(FileClass::kWal), 0u);

@@ -2,7 +2,7 @@
 // quantile bracketing, the thread-sharded MetricRegistry, the bounded
 // TraceRecorder ring with Chrome trace-event export, and the periodic CSV
 // sampler -- plus the end-to-end wiring contracts: telemetry enabled vs
-// disabled counts identical device I/O (sequential runner and ShardedEngine),
+// disabled counts identical device I/O (one-shard and two-shard engine runs),
 // an instrumented engine run emits every span kind the observability story
 // promises, and the striped OpBreakdown records the same totals under
 // parallel lookups as under serial ones.
@@ -25,7 +25,7 @@
 #include "common/random.h"
 #include "core/index_factory.h"
 #include "core/op_breakdown.h"
-#include "engine/concurrent_runner.h"
+#include "engine/runner.h"
 #include "engine/sharded_engine.h"
 #include "kv/request.h"
 #include "storage/disk_model.h"
@@ -34,12 +34,12 @@
 #include "telemetry/sampler.h"
 #include "telemetry/trace_recorder.h"
 #include "test_util.h"
-#include "workload/runner.h"
 #include "workload/workloads.h"
 
 namespace liod {
 namespace {
 
+using testing_util::OneShard;
 using testing_util::RacingThreads;
 using testing_util::ToRecords;
 using testing_util::UniformKeys;
@@ -144,16 +144,18 @@ TEST(TelemetryHistogramTest, QuantilesTrackExactOpSamplePercentiles) {
   const DiskModel model = DiskModel::Ssd();
   Rng rng(1234);
   RunResult result;
+  result.threads.resize(1);
+  std::vector<OpSample>& samples = result.threads[0].samples;
   HistogramSnapshot hist;
   for (int i = 0; i < 5000; ++i) {
     OpSample sample;
     sample.cpu_us = static_cast<float>(std::exp(rng.NextGaussian() * 1.3 + 2.0));
     sample.reads = static_cast<std::uint32_t>(rng.NextBounded(4));
     sample.writes = static_cast<std::uint32_t>(rng.NextBounded(2));
-    result.samples.push_back(sample);
+    samples.push_back(sample);
     hist.Observe(RunResult::SampleLatencyUs(sample, model));
   }
-  result.operations = result.samples.size();
+  result.operations = samples.size();
 
   for (double q : {0.50, 0.90, 0.99, 0.999}) {
     const double exact = result.LatencyPercentileUs(q, model);
@@ -410,9 +412,8 @@ TEST(TelemetryRunnerTest, EnabledTelemetryCountsIdenticalDeviceIo) {
 
   RunResult plain;
   {
-    auto index = MakeIndex("btree", BufferedDurableOptions());
-    ASSERT_NE(index, nullptr);
-    ASSERT_TRUE(RunWorkload(index.get(), workload, RunnerConfig{}, &plain).ok());
+    ShardedEngine engine(OneShard("btree", BufferedDurableOptions()));
+    ASSERT_TRUE(RunWorkload(&engine, workload, RunnerConfig{}, &plain).ok());
   }
 
   MetricRegistry registry;
@@ -422,12 +423,8 @@ TEST(TelemetryRunnerTest, EnabledTelemetryCountsIdenticalDeviceIo) {
     IndexOptions options = BufferedDurableOptions();
     options.metrics = &registry;
     options.trace = &trace;
-    auto index = MakeIndex("btree", options);
-    ASSERT_NE(index, nullptr);
-    RunnerConfig config;
-    config.metrics = &registry;
-    config.trace = &trace;
-    ASSERT_TRUE(RunWorkload(index.get(), workload, config, &instrumented).ok());
+    ShardedEngine engine(OneShard("btree", options));
+    ASSERT_TRUE(RunWorkload(&engine, workload, RunnerConfig{}, &instrumented).ok());
   }
 
   // Metrics observe, never perturb: the instrumented run pays exactly the
@@ -438,13 +435,14 @@ TEST(TelemetryRunnerTest, EnabledTelemetryCountsIdenticalDeviceIo) {
 
   // And the recorded metrics are self-consistent with the run.
   const MetricsSnapshot snap = registry.Snapshot();
-  EXPECT_EQ(snap.counters.at("ops.lookup") + snap.counters.at("ops.insert") +
-                snap.counters.at("ops.scan") + snap.counters.at("ops.rmw"),
+  EXPECT_EQ(snap.counters.at("shard0.ops.lookup") + snap.counters.at("shard0.ops.insert") +
+                snap.counters.at("shard0.ops.scan") + snap.counters.at("shard0.ops.rmw"),
             instrumented.operations);
-  EXPECT_EQ(snap.histograms.at("op.lookup_us").count, snap.counters.at("ops.lookup"));
-  EXPECT_GT(snap.counters.at("updates.merges"), 0u);
-  EXPECT_GT(snap.counters.at("wal.forces"), 0u);
-  EXPECT_GT(snap.histograms.at("wal.force_us").count, 0u);
+  EXPECT_EQ(snap.histograms.at("engine.lookup_us").count,
+            snap.counters.at("shard0.ops.lookup"));
+  EXPECT_GT(snap.counters.at("shard0.updates.merges"), 0u);
+  EXPECT_GT(snap.counters.at("shard0.wal.forces"), 0u);
+  EXPECT_GT(snap.histograms.at("shard0.wal.force_us").count, 0u);
   EXPECT_GT(trace.recorded(), 0u);
 }
 
@@ -458,35 +456,35 @@ EngineOptions TelemetryEngineOptions(MergeMode merge_mode) {
   return options;
 }
 
-ConcurrentWorkload YcsbAWorkload(std::size_t threads) {
+Workload YcsbAWorkload(std::size_t threads) {
   const std::vector<Key> keys = UniformKeys(4000, 3);
   WorkloadSpec spec;
   spec.type = WorkloadType::kYcsbA;
   spec.operations = 4000;
   spec.seed = 9;
-  return BuildConcurrentWorkload(keys, spec, threads);
+  return BuildWorkload(keys, spec, threads);
 }
 
 TEST(TelemetryEngineTest, EnabledTelemetryCountsIdenticalDeviceIo) {
   // Single client tape keeps the op order deterministic, so the counted I/O
   // of the two runs must match block for block.
-  const ConcurrentWorkload workload = YcsbAWorkload(1);
+  const Workload workload = YcsbAWorkload(1);
 
-  ConcurrentRunResult plain;
+  RunResult plain;
   {
     ShardedEngine engine(TelemetryEngineOptions(MergeMode::kSync));
-    ASSERT_TRUE(RunConcurrentWorkload(&engine, workload, {}, &plain).ok());
+    ASSERT_TRUE(RunWorkload(&engine, workload, {}, &plain).ok());
   }
 
   MetricRegistry registry;
   TraceRecorder trace;
-  ConcurrentRunResult instrumented;
+  RunResult instrumented;
   {
     EngineOptions options = TelemetryEngineOptions(MergeMode::kSync);
     options.index.metrics = &registry;
     options.index.trace = &trace;
     ShardedEngine engine(options);
-    ASSERT_TRUE(RunConcurrentWorkload(&engine, workload, {}, &instrumented).ok());
+    ASSERT_TRUE(RunWorkload(&engine, workload, {}, &instrumented).ok());
   }
 
   EXPECT_EQ(plain.operations, instrumented.operations);
@@ -497,7 +495,7 @@ TEST(TelemetryEngineTest, EnabledTelemetryCountsIdenticalDeviceIo) {
 TEST(TelemetryEngineTest, InstrumentedRunEmitsEverySpanKindAndConsistentCounters) {
   MetricRegistry registry;
   TraceRecorder trace;
-  const ConcurrentWorkload workload = YcsbAWorkload(2);
+  const Workload workload = YcsbAWorkload(2);
   std::uint64_t lookups = 0;
   std::uint64_t inserts = 0;
   for (const auto& tape : workload.thread_ops) {
@@ -514,8 +512,8 @@ TEST(TelemetryEngineTest, InstrumentedRunEmitsEverySpanKindAndConsistentCounters
     options.index.metrics = &registry;
     options.index.trace = &trace;
     ShardedEngine engine(options);
-    ConcurrentRunResult result;
-    ASSERT_TRUE(RunConcurrentWorkload(&engine, workload, {}, &result).ok());
+    RunResult result;
+    ASSERT_TRUE(RunWorkload(&engine, workload, {}, &result).ok());
 
     const MetricsSnapshot snap = registry.Snapshot();
     EXPECT_EQ(snap.counters.at("shard0.ops.lookup") + snap.counters.at("shard1.ops.lookup"),

@@ -11,9 +11,11 @@
 #include <utility>
 #include <vector>
 
+#include "common/options.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "common/types.h"
+#include "engine/sharded_engine.h"
 
 namespace liod {
 namespace testing_util {
@@ -58,6 +60,17 @@ inline std::vector<Key> SequentialKeys(std::size_t n, Key start = 1000, Key stri
   std::vector<Key> keys(n);
   for (std::size_t i = 0; i < n; ++i) keys[i] = start + stride * static_cast<Key>(i);
   return keys;
+}
+
+/// Options of a one-shard engine over `index_name`: the runner's
+/// single-index configuration.
+inline EngineOptions OneShard(const std::string& index_name,
+                              const IndexOptions& options = IndexOptions{}) {
+  EngineOptions engine_options;
+  engine_options.index_name = index_name;
+  engine_options.num_shards = 1;
+  engine_options.index = options;
+  return engine_options;
 }
 
 inline std::vector<Record> ToRecords(const std::vector<Key>& keys) {

@@ -17,13 +17,12 @@
 #include <gtest/gtest.h>
 
 #include "core/index_factory.h"
-#include "engine/concurrent_runner.h"
+#include "engine/runner.h"
 #include "engine/sharded_engine.h"
 #include "test_util.h"
 #include "updates/buffered_index.h"
 #include "updates/merge_scheduler.h"
 #include "workload/datasets.h"
-#include "workload/runner.h"
 #include "workload/workloads.h"
 
 namespace liod {
@@ -438,15 +437,15 @@ TEST(UpdateBufferTest, YcsbAOutOfPlaceStrictlyReducesWritesAtEqualAnswers) {
 
   IndexOptions in_place;
   in_place.alex_max_data_node_slots = 4096;
-  auto baseline = MakeIndex("btree", in_place);
+  ShardedEngine baseline(testing_util::OneShard("btree", in_place));
   RunResult baseline_result;
-  ASSERT_TRUE(RunWorkload(baseline.get(), w, config, &baseline_result).ok());
+  ASSERT_TRUE(RunWorkload(&baseline, w, config, &baseline_result).ok());
 
   // 64 staging blocks hold ~10.9k entries: zipfian repeat-updates coalesce
   // and the single end-of-window merge applies each distinct key once.
-  auto buffered = MakeIndex("btree", BufferedOptions(64));
+  ShardedEngine buffered(testing_util::OneShard("btree", BufferedOptions(64)));
   RunResult buffered_result;
-  ASSERT_TRUE(RunWorkload(buffered.get(), w, config, &buffered_result).ok());
+  ASSERT_TRUE(RunWorkload(&buffered, w, config, &buffered_result).ok());
 
   EXPECT_LT(buffered_result.io.TotalWrites(), baseline_result.io.TotalWrites());
 
@@ -454,8 +453,8 @@ TEST(UpdateBufferTest, YcsbAOutOfPlaceStrictlyReducesWritesAtEqualAnswers) {
   // every key's payload (newest-wins matches last-write-wins).
   for (std::size_t i = 0; i < keys.size(); i += 97) {
     bool found_a = false, found_b = false;
-    const Payload a = MustLookup(baseline.get(), keys[i], &found_a);
-    const Payload b = MustLookup(buffered.get(), keys[i], &found_b);
+    const Payload a = MustLookup(baseline.shard(0), keys[i], &found_a);
+    const Payload b = MustLookup(buffered.shard(0), keys[i], &found_b);
     ASSERT_EQ(found_a, found_b) << keys[i];
     ASSERT_EQ(a, b) << keys[i];
   }
@@ -520,12 +519,12 @@ TEST(UpdateBufferEngineTest, ShardedEngineRunsBackgroundMergesPerShard) {
   spec.bulk_keys = 24'000;
   spec.operations = 8'000;
   spec.seed = 11;
-  const ConcurrentWorkload w = BuildConcurrentWorkload(keys, spec, /*num_threads=*/4);
+  const Workload w = BuildWorkload(keys, spec, /*num_threads=*/4);
 
-  ConcurrentRunnerConfig config;
+  RunnerConfig config;
   config.check_lookups = true;
-  ConcurrentRunResult result;
-  ASSERT_TRUE(RunConcurrentWorkload(&engine, w, config, &result).ok());
+  RunResult result;
+  ASSERT_TRUE(RunWorkload(&engine, w, config, &result).ok());
   EXPECT_EQ(result.operations, 8'000u);
 
   // The runner's end-of-window FlushUpdates drained every shard.

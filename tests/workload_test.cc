@@ -5,8 +5,9 @@
 #include <gtest/gtest.h>
 
 #include "core/index_factory.h"
+#include "engine/runner.h"
+#include "test_util.h"
 #include "workload/datasets.h"
-#include "workload/runner.h"
 #include "workload/workloads.h"
 
 #include "segmentation/fmcd.h"
@@ -14,6 +15,8 @@
 
 namespace liod {
 namespace {
+
+using testing_util::OneShard;
 
 // --- datasets -------------------------------------------------------------
 
@@ -71,9 +74,9 @@ TEST(Workloads, LookupOnlyShape) {
   spec.operations = 1000;
   const auto w = BuildWorkload(keys, spec);
   EXPECT_EQ(w.bulk.size(), keys.size());
-  EXPECT_EQ(w.ops.size(), 1000u);
+  EXPECT_EQ(w.thread_ops[0].size(), 1000u);
   std::set<Key> present(keys.begin(), keys.end());
-  for (const auto& op : w.ops) {
+  for (const auto& op : w.thread_ops[0]) {
     EXPECT_EQ(op.kind, WorkloadOp::Kind::kLookup);
     EXPECT_TRUE(present.count(op.key)) << "lookup key must exist";
   }
@@ -89,7 +92,7 @@ TEST(Workloads, WriteOnlyUsesDisjointInsertKeys) {
   EXPECT_EQ(w.bulk.size(), 2000u);
   std::set<Key> bulk;
   for (const auto& r : w.bulk) bulk.insert(r.key);
-  for (const auto& op : w.ops) {
+  for (const auto& op : w.thread_ops[0]) {
     EXPECT_EQ(op.kind, WorkloadOp::Kind::kInsert);
     EXPECT_FALSE(bulk.count(op.key)) << "insert keys must be new";
   }
@@ -106,19 +109,19 @@ TEST(Workloads, MixedPatternsMatchPaper) {
     spec.bulk_keys = 2000;
     spec.operations = 200;
     const auto w = BuildWorkload(keys, spec);
-    ASSERT_EQ(w.ops.size(), 200u);
+    ASSERT_EQ(w.thread_ops[0].size(), 200u);
     // Verify the first round follows the paper's interleaving pattern.
     for (int i = 0; i < ins; ++i) {
-      EXPECT_EQ(w.ops[i].kind, WorkloadOp::Kind::kInsert)
+      EXPECT_EQ(w.thread_ops[0][i].kind, WorkloadOp::Kind::kInsert)
           << WorkloadTypeName(type) << " pos " << i;
     }
     for (int i = ins; i < ins + lks; ++i) {
-      EXPECT_EQ(w.ops[i].kind, WorkloadOp::Kind::kLookup)
+      EXPECT_EQ(w.thread_ops[0][i].kind, WorkloadOp::Kind::kLookup)
           << WorkloadTypeName(type) << " pos " << i;
     }
     // Overall ratio.
     std::size_t inserts = 0;
-    for (const auto& op : w.ops) inserts += op.kind == WorkloadOp::Kind::kInsert;
+    for (const auto& op : w.thread_ops[0]) inserts += op.kind == WorkloadOp::Kind::kInsert;
     EXPECT_EQ(inserts, spec.operations * static_cast<std::size_t>(ins) /
                            static_cast<std::size_t>(ins + lks));
   }
@@ -147,7 +150,7 @@ TEST(Ycsb, MixRatiosMatchSpec) {
     spec.operations = 10000;
     const auto w = BuildWorkload(keys, spec);
     std::map<WorkloadOp::Kind, std::size_t> counts;
-    for (const auto& op : w.ops) ++counts[op.kind];
+    for (const auto& op : w.thread_ops[0]) ++counts[op.kind];
     return counts;
   };
   using Kind = WorkloadOp::Kind;
@@ -183,10 +186,10 @@ TEST(Ycsb, ZipfianSkewsKeyChoice) {
     spec.zipf_theta = theta;
     const auto w = BuildWorkload(keys, spec);
     std::map<Key, std::size_t> freq;
-    for (const auto& op : w.ops) ++freq[op.key];
+    for (const auto& op : w.thread_ops[0]) ++freq[op.key];
     std::size_t hottest = 0;
     for (const auto& [k, n] : freq) hottest = std::max(hottest, n);
-    return static_cast<double>(hottest) / static_cast<double>(w.ops.size());
+    return static_cast<double>(hottest) / static_cast<double>(w.thread_ops[0].size());
   };
   // theta 0.99 concentrates a visible share on the hottest key; uniform
   // spreads it to ~1/n.
@@ -206,7 +209,7 @@ TEST(Ycsb, ReadsOnlyTargetLiveKeys) {
     const auto w = BuildWorkload(keys, spec);
     std::set<Key> live;
     for (const auto& r : w.bulk) live.insert(r.key);
-    for (const auto& op : w.ops) {
+    for (const auto& op : w.thread_ops[0]) {
       switch (op.kind) {
         case WorkloadOp::Kind::kInsert:
           live.insert(op.key);
@@ -236,24 +239,23 @@ TEST(Workloads, EmptyBulkSampleStillGeneratesInserts) {
     spec.scan_length = 5;
     const auto w = BuildWorkload(keys, spec);
     EXPECT_TRUE(w.bulk.empty());
-    ASSERT_EQ(w.ops.size(), 1500u) << WorkloadTypeName(type);
-    EXPECT_EQ(w.ops.front().kind, WorkloadOp::Kind::kInsert)
+    ASSERT_EQ(w.thread_ops[0].size(), 1500u) << WorkloadTypeName(type);
+    EXPECT_EQ(w.thread_ops[0].front().kind, WorkloadOp::Kind::kInsert)
         << WorkloadTypeName(type) << ": nothing is live before the first insert";
     // Reads may only target keys inserted earlier in the tape.
     std::set<Key> live;
-    for (const auto& op : w.ops) {
+    for (const auto& op : w.thread_ops[0]) {
       if (op.kind == WorkloadOp::Kind::kInsert) {
         live.insert(op.key);
       } else if (op.kind == WorkloadOp::Kind::kLookup) {
         ASSERT_TRUE(live.count(op.key)) << WorkloadTypeName(type);
       }
     }
-    auto index = MakeIndex("btree", IndexOptions{});
+    ShardedEngine engine(OneShard("btree"));
     RunnerConfig config;
     config.check_lookups = true;
     RunResult result;
-    ASSERT_TRUE(RunWorkload(index.get(), w, config, &result).ok())
-        << WorkloadTypeName(type);
+    ASSERT_TRUE(RunWorkload(&engine, w, config, &result).ok()) << WorkloadTypeName(type);
     EXPECT_GT(result.stats_after.num_records, 0u);
   }
 }
@@ -261,7 +263,7 @@ TEST(Workloads, EmptyBulkSampleStillGeneratesInserts) {
 TEST(Ycsb, AllMixesRunGreenSequentially) {
   const auto keys = MakeDataset("osm", 12000, 8);
   for (WorkloadType type : YcsbWorkloadTypes()) {
-    auto index = MakeIndex("btree", IndexOptions{});
+    ShardedEngine engine(OneShard("btree"));
     WorkloadSpec spec;
     spec.type = type;
     spec.bulk_keys = 4000;
@@ -271,9 +273,8 @@ TEST(Ycsb, AllMixesRunGreenSequentially) {
     RunnerConfig config;
     config.check_lookups = true;
     RunResult result;
-    ASSERT_TRUE(RunWorkload(index.get(), w, config, &result).ok())
-        << WorkloadTypeName(type);
-    EXPECT_EQ(result.operations, w.ops.size());
+    ASSERT_TRUE(RunWorkload(&engine, w, config, &result).ok()) << WorkloadTypeName(type);
+    EXPECT_EQ(result.operations, w.thread_ops[0].size());
   }
 }
 
@@ -305,8 +306,7 @@ TEST_P(RunnerIntegrationTest, AllWorkloadsRunGreen) {
     options.alex_max_data_node_slots = 2048;
     options.pgm_insert_buffer_records = 128;
     options.fiting_buffer_capacity = 64;
-    auto index = MakeIndex(index_name, options);
-    ASSERT_NE(index, nullptr);
+    ShardedEngine engine(OneShard(index_name, options));
     WorkloadSpec spec;
     spec.type = type;
     spec.bulk_keys = 5000;
@@ -315,9 +315,9 @@ TEST_P(RunnerIntegrationTest, AllWorkloadsRunGreen) {
     RunnerConfig config;
     config.check_lookups = true;  // every sampled lookup must hit
     RunResult result;
-    ASSERT_TRUE(RunWorkload(index.get(), w, config, &result).ok())
+    ASSERT_TRUE(RunWorkload(&engine, w, config, &result).ok())
         << index_name << " on " << WorkloadTypeName(type);
-    EXPECT_EQ(result.operations, w.ops.size());
+    EXPECT_EQ(result.operations, w.thread_ops[0].size());
     EXPECT_GT(result.io.TotalReads(), 0u);
     EXPECT_GT(result.stats_after.disk_bytes, 0u);
     // Modeled throughput must be finite and HDD slower than SSD.
@@ -336,7 +336,7 @@ INSTANTIATE_TEST_SUITE_P(AllIndexes, RunnerIntegrationTest,
 
 TEST(Runner, RecordsPerOpSamples) {
   const auto keys = MakeDataset("ycsb", 5000, 12);
-  auto index = MakeIndex("btree", IndexOptions{});
+  ShardedEngine engine(OneShard("btree"));
   WorkloadSpec spec;
   spec.type = WorkloadType::kLookupOnly;
   spec.operations = 500;
@@ -344,8 +344,9 @@ TEST(Runner, RecordsPerOpSamples) {
   RunnerConfig config;
   config.record_samples = true;
   RunResult result;
-  ASSERT_TRUE(RunWorkload(index.get(), w, config, &result).ok());
-  ASSERT_EQ(result.samples.size(), 500u);
+  ASSERT_TRUE(RunWorkload(&engine, w, config, &result).ok());
+  ASSERT_EQ(result.threads.size(), 1u);
+  ASSERT_EQ(result.threads[0].samples.size(), 500u);
   const DiskModel hdd = DiskModel::Hdd();
   const double p50 = result.LatencyPercentileUs(0.5, hdd);
   const double p99 = result.LatencyPercentileUs(0.99, hdd);
@@ -357,13 +358,13 @@ TEST(Runner, RecordsPerOpSamples) {
 TEST(Runner, HybridSearchWorkloads) {
   const auto keys = MakeDataset("fb", 20000, 13);
   for (const auto& name : HybridIndexNames()) {
-    auto index = MakeIndex(name, IndexOptions{});
+    ShardedEngine engine(OneShard(name));
     WorkloadSpec spec;
     spec.type = WorkloadType::kScanOnly;
     spec.operations = 300;
     const auto w = BuildWorkload(keys, spec);
     RunResult result;
-    ASSERT_TRUE(RunWorkload(index.get(), w, RunnerConfig{}, &result).ok()) << name;
+    ASSERT_TRUE(RunWorkload(&engine, w, RunnerConfig{}, &result).ok()) << name;
     EXPECT_GT(result.io.TotalReads(), 0u);
   }
 }

@@ -5,9 +5,8 @@
 //   liod_cli recover [flags] -- `run` with the crash-recovery demo forced on
 //   liod_cli stats [flags]   -- live stats of a running serve (wire stats op)
 //
-// A bare invocation (first argument is a --flag) still works as the historical
-// `run` with identical flags and output, printing a deprecation note to
-// stderr; every script written against the old interface keeps running.
+// The first argument must name the subcommand: a bare `liod_cli --flags`
+// prints usage and exits 2.
 //
 // run/recover report throughput, exact block I/O, phase breakdown, tail
 // latency, and storage footprint -- the general-purpose driver behind the
@@ -37,8 +36,8 @@
 // device.submissions).
 //
 // --buffer is the paper's per-file frame budget; --buffer-budget N > 0
-// switches to one shared pool of N frames across all files (and across all
-// shards in engine mode, where the budget then spans the whole engine).
+// switches to one shared pool of N frames across all files and all shards
+// (the budget spans the whole engine).
 //
 // --update-buffer N > 0 switches updates from the paper's in-place path to
 // the out-of-place UpdateBuffer decorator (N-block staging area), drained
@@ -49,14 +48,15 @@
 // Insert/Delete is logged to a write-ahead log (counted as the "wal" file
 // class, reported in the wal_writes CSV column), checkpoints snapshot +
 // truncate it (--checkpoint-every N ops; 0 = at merges only). --recover
-// (sequential mode only) additionally demonstrates crash recovery: after the
-// measured run it applies an unflushed tail of inserts, "crashes" the index,
-// rebuilds it from the durable slot via RecoveryManager, and verifies the
-// committed tail prefix is answered exactly.
+// (threads = shards = 1 only) additionally demonstrates crash recovery: after
+// the measured run it applies an unflushed tail of inserts, "crashes" the
+// engine, rebuilds its one shard from the durable slot via RecoveryManager,
+// and verifies the committed tail prefix is answered exactly.
 //
-// With --threads/--shards > 1 execution routes through the ShardedEngine and
-// the multi-threaded ConcurrentRunner; the defaults (1/1) keep the classic
-// single-index sequential path and its exact output format.
+// Every run goes through the ShardedEngine and the workload runner:
+// --shards key-range shards driven by --threads client threads. The
+// defaults (1/1) run one index on one thread; the CSV schema is the same
+// for every thread/shard count.
 //
 // `serve` bulkloads --dataset/--bulk records (payload = key + 1) into a
 // ShardedEngine with the same engine flags as run, then serves the binary KV
@@ -97,22 +97,20 @@
 #include <string>
 #include <thread>
 
-#include "core/index_factory.h"
-#include "storage/device_factory.h"
-#include "engine/concurrent_runner.h"
+#include "engine/runner.h"
 #include "engine/sharded_engine.h"
 #include "recovery/durable_store.h"
 #include "recovery/recovery_manager.h"
 #include "server/kv_client.h"
 #include "server/kv_server.h"
 #include "storage/block_device.h"
+#include "storage/device_factory.h"
 #include "telemetry/exporter.h"
 #include "telemetry/metric_registry.h"
 #include "telemetry/sampler.h"
 #include "telemetry/trace_recorder.h"
 #include "updates/buffered_index.h"
 #include "workload/datasets.h"
-#include "workload/runner.h"
 
 using namespace liod;
 
@@ -139,7 +137,7 @@ struct CliArgs {
   std::size_t scan_length = 100;
   std::size_t threads = 1;
   std::size_t shards = 1;
-  std::string lock_mode = "exclusive";  // engine mode: shard latch discipline
+  std::string lock_mode = "exclusive";  // shard latch discipline
   std::uint64_t seed = 42;
   double zipf_theta = 0.99;
   std::string disk = "both";
@@ -176,7 +174,7 @@ void Usage() {
       "liod_cli serve --listen unix:PATH|tcp:PORT [--workers N] [--queue N]\n"
       "               [--wal-dir DIR] [--recover] [engine options]\n"
       "liod_cli recover [run options]   (run with the crash-recovery demo)\n"
-      "(a bare `liod_cli --flags` is the deprecated spelling of `run`)\n\n"
+      "liod_cli stats --connect unix:PATH|tcp:[HOST:]PORT [--watch N]\n\n"
       "indexes:   btree fiting pgm alex alex-l1 lipp hybrid-{fiting,pgm,alex,lipp}\n"
       "datasets: ");
   for (const auto& d : AllDatasetNames()) std::printf(" %s", d.c_str());
@@ -186,15 +184,15 @@ void Usage() {
   std::printf(
       "\noptions:   --bulk N --ops N --block BYTES --buffer BLOCKS --seed N\n"
       "           --buffer-policy lru|clock|fifo --buffer-budget BLOCKS (shared pool;\n"
-      "             spans all shards in engine mode) --write-back\n"
+      "             spans all shards) --write-back\n"
       "           --scan-length N --disk hdd|ssd|both --csv --inner-in-memory\n"
-      "           --threads N --shards N (engine mode when either > 1) --zipf THETA\n"
+      "           --threads N --shards N (client threads, key-range shards) --zipf THETA\n"
       "           --lock-mode exclusive|shared (engine shard latches)\n"
       "           --update-buffer BLOCKS (0 = in-place) --merge-mode sync|background\n"
       "           --merge-threshold F (fraction of staging capacity; > 1 spills runs)\n"
       "           --durability none|async|group-commit|sync-per-op (WAL for the\n"
       "             buffered write path) --group-window OPS --checkpoint-every OPS\n"
-      "           --recover (sequential mode: crash + rebuild demonstration)\n"
+      "           --recover (threads=shards=1: crash + rebuild demonstration)\n"
       "           --device modeled|file|direct (storage backend; file/direct add\n"
       "             wall-clock CSV columns with bit-identical counted I/O)\n"
       "           --device-path DIR (real-device files; default: temp dir)\n"
@@ -392,18 +390,6 @@ class ProgressReporter {
   std::thread thread_;  // last member: runs Loop against the fields above
 };
 
-/// One durable decorator's heartbeat detail (", staged=.. ckpts=.. wal_lsn=..");
-/// empty for plain in-place indexes.
-std::string BufferedDetail(const UpdateBufferedIndex* durable) {
-  if (durable == nullptr) return std::string();
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), ", staged=%zu, ckpts=%llu, wal_lsn=%llu",
-                durable->staged_records(),
-                static_cast<unsigned long long>(durable->checkpoints_written()),
-                static_cast<unsigned long long>(durable->wal_last_lsn()));
-  return std::string(buf);
-}
-
 /// The CLI-owned telemetry objects. The registry/trace outlive the index and
 /// engine (both reference them); the sampler is constructed by the runner's
 /// before_ops hook so its frozen CSV columns include every metric the run
@@ -463,12 +449,13 @@ void StartMeasuredPhaseTelemetry(const CliArgs& args, TelemetryContext* telemetr
 }
 
 /// --recover demonstration: after the measured (and fully flushed) run,
-/// apply an unflushed tail of inserts, destroy the index mid-flight (the
-/// simulated crash), rebuild from the durable slot, and verify the committed
-/// tail prefix answers exactly. Prints to stderr so --csv stays parseable.
-int RunRecoveryDemo(const CliArgs& args, const IndexOptions& options, DurableSlot* slot,
-                    std::unique_ptr<DiskIndex> index, const Workload& w) {
-  auto* durable = dynamic_cast<UpdateBufferedIndex*>(index.get());
+/// apply an unflushed tail of inserts, destroy the one-shard engine
+/// mid-flight (the simulated crash), rebuild the shard from its slot in the
+/// injected `store`, and verify the committed tail prefix answers exactly.
+/// Prints to stderr so --csv stays parseable.
+int RunRecoveryDemo(const CliArgs& args, const IndexOptions& options, DurableStore* store,
+                    std::unique_ptr<ShardedEngine> engine, const Workload& w) {
+  auto* durable = dynamic_cast<UpdateBufferedIndex*>(engine->shard(0));
   if (durable == nullptr) {
     std::fprintf(stderr, "--recover requires --durability != none\n");
     return 2;
@@ -476,19 +463,19 @@ int RunRecoveryDemo(const CliArgs& args, const IndexOptions& options, DurableSlo
   const std::uint64_t base_lsn = durable->wal_last_lsn();
   const std::size_t tail = std::min<std::size_t>(w.bulk.size(), 2000);
   for (std::size_t i = 0; i < tail; ++i) {
-    const Status status = durable->Insert(w.bulk[i].key, w.bulk[i].key + 977);
+    const Status status = engine->Insert(w.bulk[i].key, w.bulk[i].key + 977);
     if (!status.ok()) {
       std::fprintf(stderr, "recover demo: tail insert failed: %s\n",
                    status.ToString().c_str());
       return 1;
     }
   }
-  index.reset();  // crash: no FlushUpdates, no final checkpoint
+  engine.reset();  // crash: no FlushUpdates, no final checkpoint
 
   const auto start = std::chrono::steady_clock::now();
   RecoveryResult recovered;
   const Status status =
-      RecoveryManager::Recover(slot, args.index, options, w.bulk, &recovered);
+      RecoveryManager::Recover(store->slot(0), args.index, options, w.bulk, &recovered);
   // Two numbers, two stories: replay is the modeled analysis time (exact
   // checkpoint+WAL blocks x SSD latency, the recovery_sweep convention,
   // shrinking with checkpoint cadence); rebuild is the measured wall time of
@@ -546,135 +533,8 @@ std::unique_ptr<DurableSlot> MakeCliDurableSlot(const IndexOptions& options) {
   return std::make_unique<DurableSlot>(std::move(wal_device), std::move(checkpoint_device));
 }
 
-/// Classic path: one single-threaded index, the sequential runner, and the
-/// original output format.
-int RunSequential(const CliArgs& args, IndexOptions options, const std::vector<Key>& keys,
-                  const WorkloadSpec& spec, TelemetryContext* telemetry) {
-  // An external slot keeps the WAL/checkpoint devices alive across the
-  // --recover demo's simulated crash; without --recover it is equivalent to
-  // the decorator's private slot.
-  std::unique_ptr<DurableSlot> slot = MakeCliDurableSlot(options);
-  if (slot == nullptr) return 1;
-  if (options.durability != DurabilityPolicy::kNone) options.durable_slot = slot.get();
-  auto index = MakeIndex(args.index, options);
-  if (index == nullptr) {
-    std::fprintf(stderr, "unknown index '%s'\n", args.index.c_str());
-    Usage();
-    return 2;
-  }
-  const Workload w = BuildWorkload(keys, spec);
-
-  // Sequential mode has no engine to register buffer gauges, so the CLI does
-  // it (unprefixed: one index, one namespace). Unregistered after the final
-  // snapshot, before the index -- whose IoStats they read -- is destroyed.
-  std::vector<std::string> gauge_names;
-  if (telemetry->metrics != nullptr) {
-    gauge_names = RegisterBufferGauges(telemetry->metrics.get(), "", &index->io_stats());
-  }
-
-  std::atomic<std::uint64_t> ops_done{0};
-  std::unique_ptr<ProgressReporter> reporter;
-  RunnerConfig config;
-  config.record_samples = true;
-  config.metrics = telemetry->metrics.get();
-  config.trace = telemetry->trace.get();
-  config.progress = &ops_done;
-  config.before_ops = [&] {
-    auto* durable = dynamic_cast<UpdateBufferedIndex*>(index.get());
-    StartMeasuredPhaseTelemetry(args, telemetry, &reporter, &ops_done,
-                                [durable] { return BufferedDetail(durable); });
-  };
-  RunResult result;
-  const Status status = RunWorkload(index.get(), w, config, &result);
-  reporter.reset();  // stop the heartbeat before any other output
-  const int telemetry_rc = FinishTelemetry(args, telemetry);
-  if (telemetry->metrics != nullptr) {
-    for (const std::string& name : gauge_names) telemetry->metrics->UnregisterGauge(name);
-  }
-  if (!status.ok()) {
-    std::fprintf(stderr, "run failed: %s\n", status.ToString().c_str());
-    return 1;
-  }
-  if (telemetry_rc != 0) return telemetry_rc;
-
-  const std::vector<DiskModel> disks = ParseDisks(args.disk);
-  if (disks.empty()) {
-    std::fprintf(stderr, "unknown disk '%s'\n", args.disk.c_str());
-    return 2;
-  }
-
-  const IndexStats& stats = result.stats_after;
-  const double ops_den =
-      result.operations == 0 ? 1.0 : static_cast<double>(result.operations);
-  if (args.csv) {
-    std::printf(
-        "index,dataset,workload,disk,ops,tput_ops_s,reads_per_op,writes_per_op,"
-        "p99_us,stddev_us,disk_mib,invalid_mib,height,smos,"
-        "hit_inner,hit_leaf,hit_overall,durability,wal_writes,p50_us,p999_us,"
-        "device,wall_us,wall_p50_us,wall_p999_us\n");
-    for (const DiskModel& disk : disks) {
-      std::printf(
-          "%s,%s,%s,%s,%llu,%.2f,%.3f,%.3f,%.1f,%.1f,%.2f,%.2f,%llu,%llu,"
-          "%.3f,%.3f,%.3f,%s,%llu,%.1f,%.1f,%s,%.1f,%.2f,%.2f\n",
-          args.index.c_str(), args.dataset.c_str(), args.workload.c_str(),
-          disk.name.c_str(), static_cast<unsigned long long>(result.operations),
-          result.ThroughputOps(disk),
-          static_cast<double>(result.io.TotalReads()) / ops_den,
-          static_cast<double>(result.io.TotalWrites()) / ops_den,
-          result.LatencyPercentileUs(0.99, disk), result.LatencyStdDevUs(disk),
-          stats.disk_bytes / 1048576.0, stats.freed_bytes / 1048576.0,
-          static_cast<unsigned long long>(stats.height),
-          static_cast<unsigned long long>(stats.smo_count),
-          result.io.HitRateFor(FileClass::kInner),
-          result.io.HitRateFor(FileClass::kLeaf), result.io.OverallHitRate(),
-          DurabilityPolicyName(options.durability),
-          static_cast<unsigned long long>(result.io.WritesFor(FileClass::kWal)),
-          result.LatencyPercentileUs(0.50, disk), result.LatencyPercentileUs(0.999, disk),
-          DeviceKindName(EffectiveDeviceKind(options)), result.cpu_us,
-          result.WallPercentileUs(0.50), result.WallPercentileUs(0.999));
-    }
-    if (args.recover) return RunRecoveryDemo(args, options, slot.get(), std::move(index), w);
-    return 0;
-  }
-
-  std::printf("%s on %s / %s: %llu ops over %zu bulkloaded keys\n",
-              args.index.c_str(), args.dataset.c_str(), args.workload.c_str(),
-              static_cast<unsigned long long>(result.operations), args.bulk);
-  std::printf("  blocks/op: %.2f read, %.2f written\n",
-              static_cast<double>(result.io.TotalReads()) / ops_den,
-              static_cast<double>(result.io.TotalWrites()) / ops_den);
-  std::printf("  buffer hit rate: inner %.3f, leaf %.3f, overall %.3f\n",
-              result.io.HitRateFor(FileClass::kInner),
-              result.io.HitRateFor(FileClass::kLeaf), result.io.OverallHitRate());
-  for (const DiskModel& disk : disks) {
-    std::printf("  %s: %.1f ops/s, p99 %.2f ms, stddev %.2f ms\n", disk.name.c_str(),
-                result.ThroughputOps(disk), result.LatencyPercentileUs(0.99, disk) / 1e3,
-                result.LatencyStdDevUs(disk) / 1e3);
-  }
-  const DiskModel& primary = disks.front();
-  std::printf("  phase breakdown (avg %s us/op):", primary.name.c_str());
-  for (OpPhase phase : {OpPhase::kSearch, OpPhase::kInsert, OpPhase::kSmo,
-                        OpPhase::kMaintenance}) {
-    std::printf(" %s=%.1f", OpPhaseName(phase),
-                index->breakdown().AvgLatencyUs(phase, primary, result.operations));
-  }
-  std::printf("\n  storage: %.2f MiB total, %.2f MiB invalid; height=%llu; smos=%llu\n",
-              stats.disk_bytes / 1048576.0, stats.freed_bytes / 1048576.0,
-              static_cast<unsigned long long>(stats.height),
-              static_cast<unsigned long long>(stats.smo_count));
-  if (options.durability != DurabilityPolicy::kNone) {
-    auto* durable = dynamic_cast<UpdateBufferedIndex*>(index.get());
-    std::printf("  durability: %s, %llu wal writes in window, %llu checkpoints\n",
-                DurabilityPolicyName(options.durability),
-                static_cast<unsigned long long>(result.io.WritesFor(FileClass::kWal)),
-                static_cast<unsigned long long>(
-                    durable != nullptr ? durable->checkpoints_written() : 0));
-  }
-  if (args.recover) return RunRecoveryDemo(args, options, slot.get(), std::move(index), w);
-  return 0;
-}
-
-/// Engine path: key-range shards + concurrent client threads.
+/// The run: --shards key-range shards (one by default: the whole index)
+/// driven by --threads client threads through the workload runner.
 int RunEngine(const CliArgs& args, const IndexOptions& options,
               const std::vector<Key>& keys, const WorkloadSpec& spec,
               TelemetryContext* telemetry) {
@@ -686,15 +546,27 @@ int RunEngine(const CliArgs& args, const IndexOptions& options,
     std::fprintf(stderr, "unknown lock mode '%s'\n", args.lock_mode.c_str());
     return 2;
   }
-  // A shared budget in engine mode means one pool for the whole engine.
+  // A shared budget means one pool for the whole engine.
   engine_options.share_buffers_across_shards = args.buffer_budget > 0;
-  ShardedEngine engine(engine_options);
+  // Shard i logs to slot i of an injected store: its slots honor --device,
+  // and it outlives the engine, so the --recover demo's simulated crash
+  // leaves the WAL/checkpoint devices behind.
+  DurableStore store(options.block_size);
+  if (options.durability != DurabilityPolicy::kNone) {
+    for (std::size_t i = 0; i < args.shards; ++i) {
+      std::unique_ptr<DurableSlot> slot = MakeCliDurableSlot(options);
+      if (slot == nullptr) return 1;
+      store.InstallSlot(i, std::move(slot));
+    }
+    engine_options.durable_store = &store;
+  }
+  auto engine = std::make_unique<ShardedEngine>(engine_options);
 
-  const ConcurrentWorkload w = BuildConcurrentWorkload(keys, spec, args.threads);
+  const Workload w = BuildWorkload(keys, spec, args.threads);
 
   std::atomic<std::uint64_t> ops_done{0};
   std::unique_ptr<ProgressReporter> reporter;
-  ConcurrentRunnerConfig config;
+  RunnerConfig config;
   config.record_samples = true;
   config.progress = &ops_done;
   config.before_ops = [&] {
@@ -705,8 +577,8 @@ int RunEngine(const CliArgs& args, const IndexOptions& options,
       std::size_t staged = 0;
       std::uint64_t ckpts = 0, last_lsn = 0;
       bool any = false;
-      for (std::size_t s = 0; s < engine.num_shards(); ++s) {
-        auto* durable = dynamic_cast<UpdateBufferedIndex*>(engine.shard(s));
+      for (std::size_t s = 0; s < engine->num_shards(); ++s) {
+        auto* durable = dynamic_cast<UpdateBufferedIndex*>(engine->shard(s));
         if (durable == nullptr) continue;
         any = true;
         staged += durable->staged_records();
@@ -722,8 +594,8 @@ int RunEngine(const CliArgs& args, const IndexOptions& options,
     };
     StartMeasuredPhaseTelemetry(args, telemetry, &reporter, &ops_done, detail);
   };
-  ConcurrentRunResult result;
-  const Status status = RunConcurrentWorkload(&engine, w, config, &result);
+  RunResult result;
+  const Status status = RunWorkload(engine.get(), w, config, &result);
   reporter.reset();  // stop the heartbeat before any other output
   const int telemetry_rc = FinishTelemetry(args, telemetry);
   if (!status.ok()) {
@@ -744,20 +616,21 @@ int RunEngine(const CliArgs& args, const IndexOptions& options,
   if (args.csv) {
     std::printf(
         "index,dataset,workload,threads,shards,lock_mode,disk,ops,tput_ops_s,"
-        "reads_per_op,writes_per_op,p99_us,disk_mib,height,smos,hit_inner,hit_leaf,"
-        "hit_overall,durability,wal_writes,p50_us,p999_us,"
+        "reads_per_op,writes_per_op,p99_us,stddev_us,disk_mib,invalid_mib,height,smos,"
+        "hit_inner,hit_leaf,hit_overall,durability,wal_writes,p50_us,p999_us,"
         "device,wall_us,wall_p50_us,wall_p999_us\n");
     for (const DiskModel& disk : disks) {
       std::printf(
-          "%s,%s,%s,%zu,%zu,%s,%s,%llu,%.2f,%.3f,%.3f,%.1f,%.2f,%llu,%llu,"
+          "%s,%s,%s,%zu,%zu,%s,%s,%llu,%.2f,%.3f,%.3f,%.1f,%.1f,%.2f,%.2f,%llu,%llu,"
           "%.3f,%.3f,%.3f,%s,%llu,%.1f,%.1f,%s,%.1f,%.2f,%.2f\n",
           args.index.c_str(), args.dataset.c_str(), args.workload.c_str(), args.threads,
-          engine.num_shards(), ShardLockModeName(engine_options.shard_lock_mode),
+          engine->num_shards(), ShardLockModeName(engine_options.shard_lock_mode),
           disk.name.c_str(),
           static_cast<unsigned long long>(result.operations), result.ThroughputOps(disk),
           static_cast<double>(result.io.TotalReads()) / ops_den,
           static_cast<double>(result.io.TotalWrites()) / ops_den,
-          result.LatencyPercentileUs(0.99, disk), stats.disk_bytes / 1048576.0,
+          result.LatencyPercentileUs(0.99, disk), result.LatencyStdDevUs(disk),
+          stats.disk_bytes / 1048576.0, stats.freed_bytes / 1048576.0,
           static_cast<unsigned long long>(stats.height),
           static_cast<unsigned long long>(stats.smo_count),
           result.io.HitRateFor(FileClass::kInner),
@@ -768,37 +641,57 @@ int RunEngine(const CliArgs& args, const IndexOptions& options,
           DeviceKindName(EffectiveDeviceKind(options)), result.wall_us,
           result.WallPercentileUs(0.50), result.WallPercentileUs(0.999));
     }
-    return 0;
+  } else {
+    std::printf(
+        "%s on %s / %s: %llu ops, %zu threads x %zu shards (%s locking), "
+        "%zu bulkloaded keys\n",
+        args.index.c_str(), args.dataset.c_str(), args.workload.c_str(),
+        static_cast<unsigned long long>(result.operations), args.threads,
+        engine->num_shards(), ShardLockModeName(engine_options.shard_lock_mode),
+        w.bulk.size());
+    std::printf("  blocks/op: %.2f read, %.2f written\n",
+                static_cast<double>(result.io.TotalReads()) / ops_den,
+                static_cast<double>(result.io.TotalWrites()) / ops_den);
+    std::printf("  buffer hit rate: inner %.3f, leaf %.3f, overall %.3f\n",
+                result.io.HitRateFor(FileClass::kInner),
+                result.io.HitRateFor(FileClass::kLeaf), result.io.OverallHitRate());
+    for (const DiskModel& disk : disks) {
+      std::printf("  %s: %.1f ops/s (modeled makespan), p99 %.2f ms, stddev %.2f ms\n",
+                  disk.name.c_str(), result.ThroughputOps(disk),
+                  result.LatencyPercentileUs(0.99, disk) / 1e3,
+                  result.LatencyStdDevUs(disk) / 1e3);
+    }
+    // Each shard's average is its phase total over ALL ops, so the sum over
+    // shards is the engine-wide per-op average.
+    const DiskModel& primary = disks.front();
+    std::printf("  phase breakdown (avg %s us/op):", primary.name.c_str());
+    for (OpPhase phase : {OpPhase::kSearch, OpPhase::kInsert, OpPhase::kSmo,
+                          OpPhase::kMaintenance}) {
+      double avg_us = 0.0;
+      for (std::size_t s = 0; s < engine->num_shards(); ++s) {
+        avg_us += engine->shard(s)->breakdown().AvgLatencyUs(phase, primary,
+                                                             result.operations);
+      }
+      std::printf(" %s=%.1f", OpPhaseName(phase), avg_us);
+    }
+    std::printf("\n  storage: %.2f MiB total, %.2f MiB invalid; height=%llu; smos=%llu\n",
+                stats.disk_bytes / 1048576.0, stats.freed_bytes / 1048576.0,
+                static_cast<unsigned long long>(stats.height),
+                static_cast<unsigned long long>(stats.smo_count));
+    if (options.durability != DurabilityPolicy::kNone) {
+      std::uint64_t checkpoints = 0;
+      for (std::size_t s = 0; s < engine->num_shards(); ++s) {
+        if (auto* durable = dynamic_cast<UpdateBufferedIndex*>(engine->shard(s))) {
+          checkpoints += durable->checkpoints_written();
+        }
+      }
+      std::printf("  durability: %s, %llu wal writes in window, %llu checkpoints\n",
+                  DurabilityPolicyName(options.durability),
+                  static_cast<unsigned long long>(result.io.WritesFor(FileClass::kWal)),
+                  static_cast<unsigned long long>(checkpoints));
+    }
   }
-
-  std::printf(
-      "%s on %s / %s: %llu ops, %zu threads x %zu shards (%s locking), "
-      "%zu bulkloaded keys\n",
-      args.index.c_str(), args.dataset.c_str(), args.workload.c_str(),
-      static_cast<unsigned long long>(result.operations), args.threads,
-      engine.num_shards(), ShardLockModeName(engine_options.shard_lock_mode),
-      w.bulk.size());
-  std::printf("  blocks/op: %.2f read, %.2f written\n",
-              static_cast<double>(result.io.TotalReads()) / ops_den,
-              static_cast<double>(result.io.TotalWrites()) / ops_den);
-  std::printf("  buffer hit rate: inner %.3f, leaf %.3f, overall %.3f\n",
-              result.io.HitRateFor(FileClass::kInner),
-              result.io.HitRateFor(FileClass::kLeaf), result.io.OverallHitRate());
-  for (const DiskModel& disk : disks) {
-    std::printf("  %s: %.1f ops/s (modeled, slowest-thread makespan), p99 %.2f ms\n",
-                disk.name.c_str(), result.ThroughputOps(disk),
-                result.LatencyPercentileUs(0.99, disk) / 1e3);
-  }
-  std::printf("  storage: %.2f MiB total, %.2f MiB invalid; height=%llu; smos=%llu\n",
-              stats.disk_bytes / 1048576.0, stats.freed_bytes / 1048576.0,
-              static_cast<unsigned long long>(stats.height),
-              static_cast<unsigned long long>(stats.smo_count));
-  if (options.durability != DurabilityPolicy::kNone) {
-    std::printf("  durability: %s, %llu wal writes in window (per-shard WALs, shared "
-                "group-commit window)\n",
-                DurabilityPolicyName(options.durability),
-                static_cast<unsigned long long>(result.io.WritesFor(FileClass::kWal)));
-  }
+  if (args.recover) return RunRecoveryDemo(args, options, &store, std::move(engine), w);
   return 0;
 }
 
@@ -871,7 +764,7 @@ int MaybeMakeTempDeviceDir(IndexOptions* options, ScopedTempDeviceDir* dir) {
 }
 
 /// `run` (and `recover`, which is run with the crash demo forced on): the
-/// historical benchmark driver with its exact output format.
+/// benchmark driver.
 int RunCommand(const CliArgs& args) {
   WorkloadType type = WorkloadType::kLookupOnly;
   if (!WorkloadTypeFromName(args.workload, &type)) {
@@ -886,7 +779,7 @@ int RunCommand(const CliArgs& args) {
     return rc;
   }
   if (args.recover && (args.threads > 1 || args.shards > 1)) {
-    std::fprintf(stderr, "--recover supports the sequential path only (threads=shards=1)\n");
+    std::fprintf(stderr, "--recover supports one thread and one shard only (threads=shards=1)\n");
     return 2;
   }
   if (args.recover && options.durability == DurabilityPolicy::kNone) {
@@ -923,9 +816,6 @@ int RunCommand(const CliArgs& args) {
   ScopedTempDeviceDir temp_device_dir;
   if (MaybeMakeTempDeviceDir(&options, &temp_device_dir) != 0) return 1;
 
-  if (args.threads == 1 && args.shards == 1) {
-    return RunSequential(args, options, keys, spec, &telemetry);
-  }
   return RunEngine(args, options, keys, spec, &telemetry);
 }
 
@@ -1215,24 +1105,21 @@ int StatsCommand(const CliArgs& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string command = "run";
-  int flag_start = 1;
-  if (argc > 1 && argv[1][0] != '-') {
-    command = argv[1];
-    flag_start = 2;
-    if (command != "run" && command != "serve" && command != "recover" &&
-        command != "stats") {
+  // A bare invocation runs with every default; flags need a subcommand.
+  const std::string command = argc > 1 ? argv[1] : "run";
+  if (command != "run" && command != "serve" && command != "recover" &&
+      command != "stats") {
+    if (command[0] == '-') {
+      std::fprintf(stderr, "flags follow a subcommand: run, serve, recover or stats\n");
+    } else {
       std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
-      Usage();
-      return 2;
     }
-  } else if (argc > 1) {
-    std::fprintf(stderr,
-                 "note: bare `liod_cli --flags` is deprecated; use `liod_cli run --flags`\n");
+    Usage();
+    return 2;
   }
 
   CliArgs args;
-  if (!Parse(argc, argv, flag_start, &args)) {
+  if (!Parse(argc, argv, 2, &args)) {
     Usage();
     return 2;
   }
