@@ -105,18 +105,18 @@ Status BPlusTree::Bulkload(std::span<const Record> records) {
 Status BPlusTree::DescendToLeaf(Key key, BlockId* leaf, std::vector<PathEntry>* path) {
   if (root_ == kInvalidBlock) return Status::FailedPrecondition("tree not bulkloaded");
   BlockId current = root_;
-  BlockBuffer block(inner_file_->block_size());
+  PageRef page;
   for (std::uint64_t depth = height_; depth > 1; --depth) {
-    LIOD_RETURN_IF_ERROR(inner_file_->ReadBlock(current, block.data()));
+    LIOD_RETURN_IF_ERROR(inner_file_->PinBlock(current, &page));
     if (stats_ != nullptr) stats_->CountInnerNodeVisit();
-    const auto* header = block.As<InnerHeader>();
-    const Key* keys = InnerKeys(block);
+    const auto* header = page.As<InnerHeader>();
+    const Key* keys = InnerKeys(page);
     const Key* end = keys + header->count;
     // Rightmost entry with key <= search key; clamp to entry 0.
     const Key* it = std::upper_bound(keys, end, key);
     std::uint32_t idx = it == keys ? 0 : static_cast<std::uint32_t>(it - keys - 1);
     if (path != nullptr) path->push_back(PathEntry{current, idx});
-    current = InnerChildren(block)[idx];
+    current = InnerChildren(page)[idx];
   }
   if (stats_ != nullptr) stats_->CountLeafNodeVisit();
   *leaf = current;
@@ -127,10 +127,10 @@ Status BPlusTree::Lookup(Key key, std::uint64_t* value, bool* found) {
   *found = false;
   BlockId leaf;
   LIOD_RETURN_IF_ERROR(DescendToLeaf(key, &leaf, nullptr));
-  BlockBuffer block(leaf_file_->block_size());
-  LIOD_RETURN_IF_ERROR(leaf_file_->ReadBlock(leaf, block.data()));
-  const auto* header = block.As<LeafHeader>();
-  const Record* records = LeafRecords(block);
+  PageRef page;
+  LIOD_RETURN_IF_ERROR(leaf_file_->PinBlock(leaf, &page));
+  const auto* header = page.As<LeafHeader>();
+  const Record* records = LeafRecords(page);
   const Record* end = records + header->count;
   const Record* it = std::lower_bound(records, end, key, RecordKeyLess());
   if (it != end && it->key == key) {
@@ -341,12 +341,11 @@ Status BPlusTree::LookupFloor(Key key, Record* out, bool* found) {
   *found = false;
   BlockId leaf;
   LIOD_RETURN_IF_ERROR(DescendToLeaf(key, &leaf, nullptr));
-  const std::size_t bs = leaf_file_->block_size();
-  BlockBuffer block(bs);
+  PageRef page;
   while (leaf != kInvalidBlock) {
-    LIOD_RETURN_IF_ERROR(leaf_file_->ReadBlock(leaf, block.data()));
-    const auto* header = block.As<LeafHeader>();
-    const Record* records = LeafRecords(block);
+    LIOD_RETURN_IF_ERROR(leaf_file_->PinBlock(leaf, &page));
+    const auto* header = page.As<LeafHeader>();
+    const Record* records = LeafRecords(page);
     const Record* end = records + header->count;
     const Record* it = std::upper_bound(records, end, key, RecordKeyLess());
     if (it != records) {
@@ -366,15 +365,14 @@ Status BPlusTree::Scan(Key start_key, std::size_t count, std::vector<Record>* ou
   if (count == 0) return Status::Ok();
   BlockId leaf;
   LIOD_RETURN_IF_ERROR(DescendToLeaf(start_key, &leaf, nullptr));
-  const std::size_t bs = leaf_file_->block_size();
-  BlockBuffer block(bs);
+  PageRef page;
   bool first = true;
   while (leaf != kInvalidBlock && out->size() < count) {
-    LIOD_RETURN_IF_ERROR(leaf_file_->ReadBlock(leaf, block.data()));
+    LIOD_RETURN_IF_ERROR(leaf_file_->PinBlock(leaf, &page));
     if (!first && stats_ != nullptr) stats_->CountLeafNodeVisit();
     first = false;
-    const auto* header = block.As<LeafHeader>();
-    const Record* records = LeafRecords(block);
+    const auto* header = page.As<LeafHeader>();
+    const Record* records = LeafRecords(page);
     const Record* end = records + header->count;
     const Record* it = std::lower_bound(records, end, start_key, RecordKeyLess());
     for (; it != end && out->size() < count; ++it) out->push_back(*it);
@@ -386,16 +384,18 @@ Status BPlusTree::Scan(Key start_key, std::size_t count, std::vector<Record>* ou
 Status BPlusTree::ForEach(const std::function<Status(const Record&)>& fn) {
   BlockId leaf;
   LIOD_RETURN_IF_ERROR(DescendToLeaf(kMinKey, &leaf, nullptr));
-  const std::size_t bs = leaf_file_->block_size();
-  BlockBuffer block(bs);
+  PageRef page;
+  std::vector<Record> records;
   while (leaf != kInvalidBlock) {
-    LIOD_RETURN_IF_ERROR(leaf_file_->ReadBlock(leaf, block.data()));
-    const auto* header = block.As<LeafHeader>();
-    const Record* records = LeafRecords(block);
-    for (std::uint32_t i = 0; i < header->count; ++i) {
-      LIOD_RETURN_IF_ERROR(fn(records[i]));
-    }
+    LIOD_RETURN_IF_ERROR(leaf_file_->PinBlock(leaf, &page));
+    const auto* header = page.As<LeafHeader>();
+    const Record* first = LeafRecords(page);
+    records.assign(first, first + header->count);
     leaf = header->next;
+    // `fn` may fetch from this tree's files (CheckInvariants looks keys up),
+    // so the pin goes before it runs.
+    page.Release();
+    for (const Record& record : records) LIOD_RETURN_IF_ERROR(fn(record));
   }
   return Status::Ok();
 }

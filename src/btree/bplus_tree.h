@@ -87,18 +87,25 @@ class BPlusTree {
   BlockId* InnerChildren(BlockBuffer& block) const {
     return block.As<BlockId>(sizeof(InnerHeader) + inner_capacity_ * sizeof(Key));
   }
-  const Record* LeafRecords(const BlockBuffer& block) const {
-    return block.As<Record>(sizeof(LeafHeader));
+  // Read-only views of a const BlockBuffer or of a pinned PageRef.
+  template <typename Block>
+  const Record* LeafRecords(const Block& block) const {
+    return block.template As<Record>(sizeof(LeafHeader));
   }
-  const Key* InnerKeys(const BlockBuffer& block) const {
-    return block.As<Key>(sizeof(InnerHeader));
+  template <typename Block>
+  const Key* InnerKeys(const Block& block) const {
+    return block.template As<Key>(sizeof(InnerHeader));
   }
-  const BlockId* InnerChildren(const BlockBuffer& block) const {
-    return block.As<BlockId>(sizeof(InnerHeader) + inner_capacity_ * sizeof(Key));
+  template <typename Block>
+  const BlockId* InnerChildren(const Block& block) const {
+    return block.template As<BlockId>(sizeof(InnerHeader) + inner_capacity_ * sizeof(Key));
   }
 
   /// Descends to the leaf that should contain `key`. Appends (block, child
   /// index within parent) pairs to `path` when non-null (leaf excluded).
+  /// Inner nodes are read in place through one PageRef, hand over hand; no
+  /// pin is left when it returns. The read-only paths (Lookup, LookupFloor,
+  /// Scan, ForEach) pin leaves the same way; write paths copy blocks.
   struct PathEntry {
     BlockId block;
     std::uint32_t child_index;

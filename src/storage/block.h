@@ -29,8 +29,10 @@ static_assert(sizeof(DiskAddr) == 8, "DiskAddr must be 8 bytes on disk");
 inline constexpr DiskAddr kNullAddr{kInvalidBlock, 0};
 
 /// A heap-allocated scratch buffer of exactly one block, with typed access
-/// helpers. Index code reads blocks into these rather than holding pointers
-/// into the buffer pool (whose frames may be evicted by the next access).
+/// helpers. Write paths read a block into one of these, modify it and write it
+/// back. Read-only paths may instead pin the frame itself through a PageRef
+/// (storage/buffer_manager.h), which keeps it from being evicted until the
+/// pin is released.
 class BlockBuffer {
  public:
   explicit BlockBuffer(std::size_t block_size)

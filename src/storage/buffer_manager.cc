@@ -1,8 +1,10 @@
 #include "storage/buffer_manager.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 #include <list>
+#include <string>
 
 namespace liod {
 
@@ -22,7 +24,12 @@ class ListPolicy : public EvictionPolicy {
     order_.erase(it->second);
     pos_.erase(it);
   }
-  std::size_t Victim() override { return order_.back(); }
+  std::size_t Victim(const PinnedFn& pinned) override {
+    for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
+      if (!pinned(*it)) return *it;
+    }
+    return kNoVictim;
+  }
 
  protected:
   std::list<std::size_t> order_;  // front = most recent
@@ -66,11 +73,15 @@ class ClockPolicy final : public EvictionPolicy {
     if (ring_.size() > 2 * live_ + 8) Compact();
   }
 
-  std::size_t Victim() override {
-    while (true) {
+  std::size_t Victim(const PinnedFn& pinned) override {
+    // Two sweeps visit every entry twice: the first clears an unpinned
+    // frame's reference bit, the second takes it. Pinned frames are passed
+    // over like tombstones, so finding nothing in two sweeps means every
+    // frame is pinned.
+    for (std::size_t step = 0; step < 2 * ring_.size(); ++step) {
       if (hand_ >= ring_.size()) hand_ = 0;
       Entry& entry = ring_[hand_];
-      if (entry.frame == kTombstone) {
+      if (entry.frame == kTombstone || pinned(entry.frame)) {
         ++hand_;
       } else if (entry.ref) {
         entry.ref = false;  // second chance
@@ -79,6 +90,7 @@ class ClockPolicy final : public EvictionPolicy {
         return entry.frame;  // hand stays: Erase will tombstone this slot
       }
     }
+    return kNoVictim;
   }
 
  private:
@@ -124,6 +136,12 @@ std::unique_ptr<EvictionPolicy> MakeEvictionPolicy(BufferPolicy policy) {
 Status FileHandle::ReadBlock(BlockId id, std::byte* out) {
   std::lock_guard<std::mutex> lock(manager_->mu_);
   return manager_->ReadBlockLocked(this, id, out);
+}
+
+Status FileHandle::PinBlock(BlockId id, PageRef* ref) {
+  ref->Release();  // before the latch: the old frame may be this fetch's victim
+  std::lock_guard<std::mutex> lock(manager_->mu_);
+  return manager_->PinBlockLocked(this, id, ref);
 }
 
 Status FileHandle::WriteBlock(BlockId id, const std::byte* data) {
@@ -267,8 +285,10 @@ Status BufferManager::WritebackLocked(Frame& frame) {
 }
 
 Status BufferManager::MakeRoomLocked(Pool& pool) {
-  while (pool.frames >= pool.budget) {
-    const std::size_t victim = pool.policy->Victim();
+  while (!HasRoom(pool)) {
+    const std::size_t victim =
+        pool.policy->Victim([this](std::size_t slot) { return PinnedLocked(slot); });
+    if (victim == EvictionPolicy::kNoVictim) break;  // every frame is pinned
     Frame& frame = slots_[victim];
     // A failed write-back aborts the triggering operation; the victim stays
     // cached and dirty so no data is lost.
@@ -281,7 +301,8 @@ Status BufferManager::MakeRoomLocked(Pool& pool) {
   return Status::Ok();
 }
 
-std::size_t BufferManager::InsertFrameLocked(FileHandle* file, BlockId id, bool dirty) {
+std::size_t BufferManager::InsertFrameLocked(FileHandle* file, BlockId id, bool dirty,
+                                             std::unique_ptr<std::byte[]> data) {
   std::size_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -293,7 +314,7 @@ std::size_t BufferManager::InsertFrameLocked(FileHandle* file, BlockId id, bool 
   Frame& frame = slots_[slot];
   frame.file = file;
   frame.block = id;
-  frame.data = std::make_unique<std::byte[]>(file->device_->block_size());
+  frame.data = std::move(data);
   frame.dirty = dirty;
   file->frames_[id] = slot;
   Pool& pool = *pools_[file->pool_];
@@ -302,8 +323,22 @@ std::size_t BufferManager::InsertFrameLocked(FileHandle* file, BlockId id, bool 
   return slot;
 }
 
+void BufferManager::InsertCopyLocked(FileHandle* file, BlockId id, bool dirty,
+                                     const std::byte* src) {
+  const std::size_t block_size = file->device_->block_size();
+  auto data = std::make_unique_for_overwrite<std::byte[]>(block_size);
+  std::memcpy(data.get(), src, block_size);
+  (void)InsertFrameLocked(file, id, dirty, std::move(data));
+}
+
 void BufferManager::DropFrameLocked(std::size_t slot) {
   Frame& frame = slots_[slot];
+  // Freeing a pinned frame would leave a PageRef pointing at freed memory.
+  if (PinnedLocked(slot)) {
+    CheckOk(Status::FailedPrecondition("block " + std::to_string(frame.block) +
+                                       " is still pinned by a PageRef"),
+            "BufferManager::DropFrameLocked");
+  }
   Pool& pool = *pools_[frame.file->pool_];
   pool.policy->Erase(slot);
   --pool.frames;
@@ -315,25 +350,47 @@ void BufferManager::DropFrameLocked(std::size_t slot) {
 }
 
 Status BufferManager::ReadBlockLocked(FileHandle* file, BlockId id, std::byte* out) {
+  // A copying read is a pin plus one copy out of the frame, so the fetch,
+  // counting and eviction rules live in PinBlockLocked alone. A miss costs
+  // the same one copy as reading into `out` and copying that into a frame.
+  PageRef ref;
+  LIOD_RETURN_IF_ERROR(PinBlockLocked(file, id, &ref));
+  std::memcpy(out, ref.data(), file->device_->block_size());
+  return Status::Ok();
+}
+
+Status BufferManager::PinBlockLocked(FileHandle* file, BlockId id, PageRef* ref) {
   Pool& pool = *pools_[file->pool_];
   LIOD_RETURN_IF_ERROR(CheckBudget(pool));
+  const auto pin = [ref](Frame& frame) {
+    frame.pins.fetch_add(1);
+    ref->pins_ = &frame.pins;
+    ref->data_ = frame.data.get();
+  };
   const auto it = file->frames_.find(id);
   if (it != file->frames_.end()) {
     if (file->count_io_ && file->stats_ != nullptr) file->stats_->CountHit(file->klass_);
     pool.policy->Touch(it->second);
-    std::memcpy(out, slots_[it->second].data.get(), file->device_->block_size());
+    pin(slots_[it->second]);
     return Status::Ok();
   }
   if (file->count_io_ && file->stats_ != nullptr) file->stats_->CountMiss(file->klass_);
-  // Fetch straight into the caller's buffer BEFORE evicting: a failed read
-  // must neither cache a stale frame nor cost another file's victim its slot
-  // (under write-back an eager eviction would even pay a device write for a
-  // read that never happens). The seed's BufferPool read-then-evicted too.
-  LIOD_RETURN_IF_ERROR(file->device_->Read(id, out));
+  // Fetch straight into the buffer that becomes the frame BEFORE evicting: a
+  // failed read must neither cache a stale frame nor cost another file's
+  // victim its slot (under write-back an eager eviction would even pay a
+  // device write for a read that never happens). The seed's BufferPool
+  // read-then-evicted too.
+  auto data = std::make_unique_for_overwrite<std::byte[]>(file->device_->block_size());
+  LIOD_RETURN_IF_ERROR(file->device_->Read(id, data.get()));
   if (file->count_io_ && file->stats_ != nullptr) file->stats_->CountRead(file->klass_);
   LIOD_RETURN_IF_ERROR(MakeRoomLocked(pool));
-  const std::size_t slot = InsertFrameLocked(file, id, /*dirty=*/false);
-  std::memcpy(slots_[slot].data.get(), out, file->device_->block_size());
+  if (!HasRoom(pool)) {
+    // Every frame is pinned: the ref keeps the block as a private copy.
+    ref->owned_ = std::move(data);
+    ref->data_ = ref->owned_.get();
+    return Status::Ok();
+  }
+  pin(slots_[InsertFrameLocked(file, id, /*dirty=*/false, std::move(data))]);
   return Status::Ok();
 }
 
@@ -352,16 +409,31 @@ Status BufferManager::WriteBlockLocked(FileHandle* file, BlockId id,
     if (file->count_io_ && file->stats_ != nullptr) file->stats_->CountHit(file->klass_);
     pool.policy->Touch(it->second);
     Frame& frame = slots_[it->second];
+    // A pinned frame is being read in place; overwriting it would race.
+    assert(!PinnedLocked(it->second) && "WriteBlock on a pinned frame");
     std::memcpy(frame.data.get(), data, file->device_->block_size());
     frame.dirty = dirty;
     return Status::Ok();
   }
   if (file->count_io_ && file->stats_ != nullptr) file->stats_->CountMiss(file->klass_);
   LIOD_RETURN_IF_ERROR(MakeRoomLocked(pool));
+  if (!HasRoom(pool)) {
+    // Every frame is pinned: nothing can be cached, so a write-back write
+    // goes to the device now (write-through already wrote it above). It is
+    // a write-back paid at once, so it keeps WritebackLocked's WAL-before-data
+    // order and counts.
+    if (!dirty) return Status::Ok();
+    if (file->write_ahead_) LIOD_RETURN_IF_ERROR(file->write_ahead_());
+    LIOD_RETURN_IF_ERROR(file->device_->Write(id, data));
+    if (file->count_io_ && file->stats_ != nullptr) {
+      file->stats_->CountWrite(file->klass_);
+      file->stats_->CountWriteback(file->klass_);
+    }
+    return Status::Ok();
+  }
   // Write-allocate: a full-block write needs no device read to populate the
   // frame. In write-back mode the device write is deferred to eviction/flush.
-  const std::size_t slot = InsertFrameLocked(file, id, dirty);
-  std::memcpy(slots_[slot].data.get(), data, file->device_->block_size());
+  InsertCopyLocked(file, id, dirty, data);
   return Status::Ok();
 }
 
@@ -415,7 +487,10 @@ Status BufferManager::ReadBlocksLocked(FileHandle* file, std::span<const BlockId
     miss_ids.push_back(id);
     miss_outs.push_back(outs[i]);
     LIOD_RETURN_IF_ERROR(MakeRoomLocked(pool));
-    (void)InsertFrameLocked(file, id, /*dirty=*/false);
+    if (HasRoom(pool)) {
+      (void)InsertFrameLocked(file, id, /*dirty=*/false,
+                              std::make_unique_for_overwrite<std::byte[]>(block_size));
+    }
   }
   if (miss_ids.empty()) return Status::Ok();
   const Status status = file->device_->ReadBatch(miss_ids, miss_outs);
@@ -463,13 +538,13 @@ Status BufferManager::WriteBlocksLocked(FileHandle* file, std::span<const BlockI
     if (it != file->frames_.end()) {
       if (file->count_io_ && file->stats_ != nullptr) file->stats_->CountHit(file->klass_);
       pool.policy->Touch(it->second);
+      assert(!PinnedLocked(it->second) && "WriteBlocks on a pinned frame");
       std::memcpy(slots_[it->second].data.get(), datas[i], block_size);
       continue;
     }
     if (file->count_io_ && file->stats_ != nullptr) file->stats_->CountMiss(file->klass_);
     LIOD_RETURN_IF_ERROR(MakeRoomLocked(pool));
-    const std::size_t slot = InsertFrameLocked(file, id, /*dirty=*/false);
-    std::memcpy(slots_[slot].data.get(), datas[i], block_size);
+    if (HasRoom(pool)) InsertCopyLocked(file, id, /*dirty=*/false, datas[i]);
   }
   return Status::Ok();
 }

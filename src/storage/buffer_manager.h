@@ -1,7 +1,10 @@
 #ifndef LIOD_STORAGE_BUFFER_MANAGER_H_
 #define LIOD_STORAGE_BUFFER_MANAGER_H_
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
+#include <deque>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -26,6 +29,11 @@ class BufferManager;
 /// method under its latch, so implementations need no locking of their own.
 class EvictionPolicy {
  public:
+  /// Victim() result when every frame of the pool is pinned.
+  static constexpr std::size_t kNoVictim = std::numeric_limits<std::size_t>::max();
+  /// Tells Victim() which frames are pinned and must not be chosen.
+  using PinnedFn = std::function<bool(std::size_t frame)>;
+
   virtual ~EvictionPolicy() = default;
 
   virtual const char* name() const = 0;
@@ -35,12 +43,54 @@ class EvictionPolicy {
   virtual void Touch(std::size_t frame) = 0;
   /// `frame` left the pool (evicted or dropped).
   virtual void Erase(std::size_t frame) = 0;
-  /// Chooses the frame to evict. Only called when the pool is non-empty.
-  virtual std::size_t Victim() = 0;
+  /// Chooses the frame to evict, skipping frames for which `pinned` is true;
+  /// kNoVictim when every frame is pinned. Only called when the pool is
+  /// non-empty. When nothing is pinned the choice is the policy's plain one.
+  virtual std::size_t Victim(const PinnedFn& pinned) = 0;
 };
 
 /// Factory over the policies of common/options.h: "lru", "clock", "fifo".
 std::unique_ptr<EvictionPolicy> MakeEvictionPolicy(BufferPolicy policy);
+
+/// A pinned, read-only view of one block, filled by FileHandle::PinBlock.
+/// While the ref holds a pool frame, that frame cannot be evicted or dropped;
+/// the pin is released when the ref is destroyed, Release()d, or passed to
+/// another PinBlock. Pins are meant to be short: release a ref before the
+/// next fetch from the same file, or a 1-frame pool has nothing left to
+/// evict. When every frame of the pool is pinned, the ref owns a private
+/// copy of the block instead of a frame.
+class PageRef {
+ public:
+  PageRef() = default;
+  ~PageRef() { Release(); }
+
+  PageRef(const PageRef&) = delete;
+  PageRef& operator=(const PageRef&) = delete;
+
+  bool empty() const { return data_ == nullptr; }
+  const std::byte* data() const { return data_; }
+
+  /// Reinterprets the block at `offset` as a T (trivially copyable, fits).
+  template <typename T>
+  const T* As(std::size_t offset = 0) const {
+    return reinterpret_cast<const T*>(data_ + offset);
+  }
+
+  /// Unpins the frame (or frees the private copy). Takes no latch.
+  void Release() {
+    if (pins_ != nullptr) pins_->fetch_sub(1);
+    pins_ = nullptr;
+    owned_.reset();
+    data_ = nullptr;
+  }
+
+ private:
+  friend class BufferManager;
+
+  const std::byte* data_ = nullptr;
+  std::atomic<std::uint32_t>* pins_ = nullptr;  ///< the pinned frame's count
+  std::unique_ptr<std::byte[]> owned_;  ///< private copy when all frames are pinned
+};
 
 /// One registered file's view into the BufferManager: the block read/write
 /// interface PagedFile forwards to. Instances are created by
@@ -50,6 +100,14 @@ class FileHandle {
   /// Copies block `id` into `out`. A miss performs (and counts) a device
   /// read; a hit performs none.
   Status ReadBlock(BlockId id, std::byte* out);
+
+  /// Pins block `id` into `ref` without copying it, after releasing whatever
+  /// `ref` held. Counted I/O and the policy's view are exactly ReadBlock's.
+  /// On a miss the device read lands straight in the new frame; if every
+  /// frame of the pool is pinned, the block is served as a private copy
+  /// owned by `ref` (one miss and one read, no eviction, nothing cached). On
+  /// error `ref` is left empty and nothing is cached.
+  Status PinBlock(BlockId id, PageRef* ref);
 
   /// Writes block `id` from `data`. Write-through: the device write happens
   /// immediately and is counted. Write-back: the frame is dirtied and the
@@ -130,11 +188,19 @@ class FileHandle {
 /// Counting: device reads/writes plus frame hits/misses/evictions/writebacks
 /// are folded into each file's IoStats, per file class.
 ///
+/// Pinning: a frame pinned through a PageRef is never chosen as a victim. A
+/// miss that finds every frame of its pool pinned is served uncached (no
+/// eviction, no insert; a write-back write goes straight to the device,
+/// after the write-ahead hook, and counts as a write-back).
+/// Dropping a pinned frame (UnregisterFile, DropCaches) is a programming
+/// error and aborts.
+///
 /// Thread-safety: every operation takes the manager latch, so one manager
 /// may be shared across ShardedEngine shards (each shard is single-threaded
 /// under its own shard mutex; the latch serializes cross-shard frame traffic
 /// and device access, including Grow). IoStats counters are relaxed atomics
-/// for the same reason.
+/// for the same reason. The one exception is PageRef::Release, an atomic
+/// decrement of the frame's pin count.
 class BufferManager {
  public:
   /// Sentinel budget: never evict.
@@ -181,6 +247,9 @@ class BufferManager {
     BlockId block = 0;
     std::unique_ptr<std::byte[]> data;
     bool dirty = false;
+    /// Live PageRefs on this frame. Raised and read (before eviction) under
+    /// the latch; PageRef::Release lowers it without the latch.
+    std::atomic<std::uint32_t> pins{0};
   };
 
   struct Pool {
@@ -190,19 +259,29 @@ class BufferManager {
   };
 
   bool PoolIsPrivateLocked(const FileHandle* file) const;
+  /// PinBlockLocked into a local ref plus one copy to `out`.
   Status ReadBlockLocked(FileHandle* file, BlockId id, std::byte* out);
+  Status PinBlockLocked(FileHandle* file, BlockId id, PageRef* ref);
   Status WriteBlockLocked(FileHandle* file, BlockId id, const std::byte* data);
   Status ReadBlocksLocked(FileHandle* file, std::span<const BlockId> ids,
                           std::span<std::byte* const> outs);
   Status WriteBlocksLocked(FileHandle* file, std::span<const BlockId> ids,
                            std::span<const std::byte* const> datas);
   Status FlushLocked(FileHandle* file);
-  /// Evicts until `pool` has room for one more frame. Dirty victims are
-  /// written back (counted); a write-back failure aborts the operation and
-  /// leaves the victim cached and dirty.
+  /// Evicts unpinned victims until `pool` has room for one more frame, or
+  /// stops when every frame is pinned; callers test HasRoom() afterwards.
+  /// Dirty victims are written back (counted); a write-back failure aborts
+  /// the operation and leaves the victim cached and dirty.
   Status MakeRoomLocked(Pool& pool);
+  static bool HasRoom(const Pool& pool) { return pool.frames < pool.budget; }
+  bool PinnedLocked(std::size_t slot) const { return slots_[slot].pins.load() != 0; }
   Status WritebackLocked(Frame& frame);
-  std::size_t InsertFrameLocked(FileHandle* file, BlockId id, bool dirty);
+  /// Caches `data` (one block, ownership taken) as block `id` of `file`.
+  std::size_t InsertFrameLocked(FileHandle* file, BlockId id, bool dirty,
+                                std::unique_ptr<std::byte[]> data);
+  /// InsertFrameLocked with a fresh frame copied from `src`.
+  void InsertCopyLocked(FileHandle* file, BlockId id, bool dirty, const std::byte* src);
+  /// Aborts if the frame is pinned.
   void DropFrameLocked(std::size_t slot);
   std::size_t NewPoolLocked(std::size_t budget);
   static Status CheckBudget(const Pool& pool);
@@ -215,7 +294,7 @@ class BufferManager {
   /// merges) does not grow the table.
   std::vector<std::unique_ptr<Pool>> pools_;
   std::vector<std::size_t> free_pools_;
-  std::vector<Frame> slots_;
+  std::deque<Frame> slots_;  ///< a deque: frames (and their pin counts) never move
   std::vector<std::size_t> free_slots_;
 };
 

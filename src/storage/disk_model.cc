@@ -13,11 +13,4 @@ double DiskModel::IoMicros(const IoStatsSnapshot& io) const {
          static_cast<double>(io.TotalWrites()) * write_latency_us;
 }
 
-double DiskModel::ThroughputOps(std::uint64_t ops, double cpu_micros,
-                                const IoStatsSnapshot& io) const {
-  const double total_us = cpu_micros + IoMicros(io);
-  if (total_us <= 0.0) return 0.0;
-  return static_cast<double>(ops) * 1e6 / total_us;
-}
-
 }  // namespace liod

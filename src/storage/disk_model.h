@@ -11,7 +11,8 @@ namespace liod {
 ///
 /// The paper ran on a physical 1TB HDD and 8TB SSDs; this library counts
 /// every block transfer exactly and charges it against a per-device latency.
-/// Throughput = ops / (cpu_seconds + modeled_io_seconds). Because every
+/// Runs turn it into throughput as ops / modeled makespan
+/// (RunResult::ThroughputOps in engine/runner.h). Because every
 /// observation in the paper reduces to fetched/written block counts
 /// (Table 2, Table 4, Figure 4), the relative shapes are preserved; see
 /// DESIGN.md "Substitutions".
@@ -29,9 +30,6 @@ struct DiskModel {
 
   /// Modeled I/O time for a counted snapshot, in microseconds.
   double IoMicros(const IoStatsSnapshot& io) const;
-
-  /// Modeled throughput in operations/second.
-  double ThroughputOps(std::uint64_t ops, double cpu_micros, const IoStatsSnapshot& io) const;
 };
 
 }  // namespace liod

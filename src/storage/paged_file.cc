@@ -78,15 +78,16 @@ void PagedFile::Free(BlockId id, std::uint32_t n) {
 
 Status PagedFile::ReadBytes(std::uint64_t byte_offset, std::uint64_t length, std::byte* out) {
   const std::uint64_t bs = block_size();
-  BlockBuffer scratch(bs);
+  PageRef page;
   std::uint64_t done = 0;
-  // Partial head block via the scratch buffer.
+  // Partial head block: copy just the requested bytes out of the pinned frame.
   if (length > 0 && byte_offset % bs != 0) {
     const BlockId block = static_cast<BlockId>(byte_offset / bs);
     const std::uint64_t in_block = byte_offset % bs;
     const std::uint64_t chunk = std::min(length, bs - in_block);
-    LIOD_RETURN_IF_ERROR(buffer_->ReadBlock(block, scratch.data()));
-    std::memcpy(out + done, scratch.data() + in_block, chunk);
+    LIOD_RETURN_IF_ERROR(buffer_->PinBlock(block, &page));
+    std::memcpy(out + done, page.data() + in_block, chunk);
+    page.Release();  // no pin may be held across the next fetch
     done += chunk;
   }
   // Block-aligned middle: one batched submission straight into the caller's
@@ -107,8 +108,8 @@ Status PagedFile::ReadBytes(std::uint64_t byte_offset, std::uint64_t length, std
   // Partial tail block.
   if (done < length) {
     const BlockId block = static_cast<BlockId>((byte_offset + done) / bs);
-    LIOD_RETURN_IF_ERROR(buffer_->ReadBlock(block, scratch.data()));
-    std::memcpy(out + done, scratch.data(), length - done);
+    LIOD_RETURN_IF_ERROR(buffer_->PinBlock(block, &page));
+    std::memcpy(out + done, page.data(), length - done);
   }
   return Status::Ok();
 }

@@ -71,6 +71,8 @@ class PagedFile {
   void Free(BlockId id, std::uint32_t n = 1);
 
   Status ReadBlock(BlockId id, std::byte* out) { return buffer_->ReadBlock(id, out); }
+  /// Zero-copy read for read-only paths; see FileHandle::PinBlock.
+  Status PinBlock(BlockId id, PageRef* ref) { return buffer_->PinBlock(id, ref); }
   Status WriteBlock(BlockId id, const std::byte* data) {
     return buffer_->WriteBlock(id, data);
   }
@@ -87,7 +89,8 @@ class PagedFile {
 
   /// Convenience: read/write an arbitrary byte range that may span blocks.
   /// Each touched block costs one block I/O, exactly as the on-disk indexes
-  /// pay it. Partial head/tail blocks use read-modify-write on writes.
+  /// pay it. Reads copy only the requested bytes of partial head/tail blocks
+  /// out of a pinned frame; writes read-modify-write them.
   Status ReadBytes(std::uint64_t byte_offset, std::uint64_t length, std::byte* out);
   Status WriteBytes(std::uint64_t byte_offset, std::uint64_t length, const std::byte* data);
 

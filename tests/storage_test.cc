@@ -1,6 +1,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -382,6 +383,200 @@ TEST(BufferManager, EveryPolicyRoundTripsData) {
   }
 }
 
+// --- Pinned reads (PageRef) ---------------------------------------------
+
+/// Fills every block of `f`'s device with Pattern(kBs, id) behind the pool.
+void FillDevice(BufferedFile& f, BlockId blocks) {
+  for (BlockId id = 0; id < blocks; ++id) {
+    CheckOk(f.dev.Write(id, Pattern(kBs, static_cast<unsigned char>(id)).data()),
+            "FillDevice");
+  }
+}
+
+bool Holds(const PageRef& ref, BlockId id) {
+  const auto want = Pattern(kBs, static_cast<unsigned char>(id));
+  return !ref.empty() && std::memcmp(ref.data(), want.data(), kBs) == 0;
+}
+
+TEST(BufferManager, PinnedFrameIsNeverEvicted) {
+  for (BufferPolicy policy :
+       {BufferPolicy::kLru, BufferPolicy::kClock, BufferPolicy::kFifo}) {
+    for (std::size_t budget : {1u, 2u}) {
+      BufferManager::Options options;
+      options.policy = policy;
+      BufferedFile f(budget, options);
+      FillDevice(f, 8);
+      PageRef pinned;
+      ASSERT_TRUE(f.file->PinBlock(0, &pinned).ok());
+      // Every other block streams through the pool; block 0 would be the
+      // first victim under each policy if it were not pinned.
+      std::vector<std::byte> out(kBs);
+      for (int round = 0; round < 3; ++round) {
+        for (BlockId id = 1; id < 8; ++id) {
+          ASSERT_TRUE(f.file->ReadBlock(id, out.data()).ok());
+          ASSERT_TRUE(Holds(pinned, 0)) << BufferPolicyName(policy) << " budget=" << budget;
+        }
+      }
+      EXPECT_LE(f.file->cached_blocks(), budget);
+      pinned.Release();
+      const std::uint64_t reads = f.stats.snapshot().TotalReads();
+      ASSERT_TRUE(f.file->ReadBlock(0, out.data()).ok());
+      EXPECT_EQ(f.stats.snapshot().TotalReads(), reads)  // still cached: a hit
+          << BufferPolicyName(policy) << " budget=" << budget;
+    }
+  }
+}
+
+TEST(BufferManager, PinCountsMatchReadBlock) {
+  // One id sequence through ReadBlock and through PinBlock (one ref, each pin
+  // released by the next): every counter and every byte must agree.
+  std::vector<BlockId> ids;
+  std::uint32_t x = 12345;
+  for (int i = 0; i < 400; ++i) {
+    x = x * 1103515245u + 12345u;
+    ids.push_back((x >> 16) % 16);
+  }
+  for (BufferPolicy policy :
+       {BufferPolicy::kLru, BufferPolicy::kClock, BufferPolicy::kFifo}) {
+    for (std::size_t budget : {1u, 2u, 64u}) {
+      BufferManager::Options options;
+      options.policy = policy;
+      BufferedFile copied(budget, options, /*blocks=*/16);
+      BufferedFile pinned(budget, options, /*blocks=*/16);
+      FillDevice(copied, 16);
+      FillDevice(pinned, 16);
+      std::vector<std::byte> out(kBs);
+      PageRef ref;
+      for (BlockId id : ids) {
+        ASSERT_TRUE(copied.file->ReadBlock(id, out.data()).ok());
+        ASSERT_TRUE(pinned.file->PinBlock(id, &ref).ok());
+        ASSERT_EQ(0, std::memcmp(out.data(), ref.data(), kBs));
+      }
+      ref.Release();
+      const IoStatsSnapshot a = copied.stats.snapshot();
+      const IoStatsSnapshot b = pinned.stats.snapshot();
+      const std::string where =
+          std::string(BufferPolicyName(policy)) + " budget=" + std::to_string(budget);
+      EXPECT_EQ(a.TotalHits(), b.TotalHits()) << where;
+      EXPECT_EQ(a.TotalMisses(), b.TotalMisses()) << where;
+      EXPECT_EQ(a.TotalEvictions(), b.TotalEvictions()) << where;
+      EXPECT_EQ(a.TotalReads(), b.TotalReads()) << where;
+      EXPECT_EQ(copied.file->cached_blocks(), pinned.file->cached_blocks()) << where;
+    }
+  }
+}
+
+TEST(BufferManager, AllPinnedMissServesPrivateCopy) {
+  BufferedFile f(1);
+  FillDevice(f, 8);
+  PageRef first;
+  ASSERT_TRUE(f.file->PinBlock(0, &first).ok());
+  const IoStatsSnapshot before = f.stats.snapshot();
+  PageRef second;
+  ASSERT_TRUE(f.file->PinBlock(1, &second).ok());  // the only frame is pinned
+  EXPECT_TRUE(Holds(second, 1));
+  EXPECT_TRUE(Holds(first, 0));
+  const IoStatsSnapshot delta = f.stats.snapshot() - before;
+  EXPECT_EQ(delta.TotalMisses(), 1u);
+  EXPECT_EQ(delta.TotalReads(), 1u);
+  EXPECT_EQ(delta.TotalEvictions(), 0u);
+  EXPECT_EQ(f.manager.cached_frames(), 1u);  // no new frame
+  EXPECT_EQ(f.file->cached_blocks(), 1u);
+  // The copy was never cached: reading block 1 again is another miss.
+  second.Release();
+  first.Release();
+  std::vector<std::byte> out(kBs);
+  ASSERT_TRUE(f.file->ReadBlock(1, out.data()).ok());
+  EXPECT_EQ((f.stats.snapshot() - before).TotalReads(), 2u);
+}
+
+TEST(BufferManager, PinnedFrameSurvivesOtherFilesEviction) {
+  BufferManager::Options options;
+  options.shared_budget_frames = 2;
+  BufferManager manager(options);
+  MemoryBlockDevice dev_a(kBs), dev_b(kBs);
+  ASSERT_TRUE(dev_a.Grow(4).ok());
+  ASSERT_TRUE(dev_b.Grow(4).ok());
+  const auto data = Pattern(kBs, 9);
+  ASSERT_TRUE(dev_a.Write(0, data.data()).ok());
+  IoStats stats;
+  FileHandle* a = manager.RegisterFile(&dev_a, &stats, FileClass::kInner, 99);
+  FileHandle* b = manager.RegisterFile(&dev_b, &stats, FileClass::kLeaf, 99);
+  {
+    PageRef ref;
+    ASSERT_TRUE(a->PinBlock(0, &ref).ok());  // pool: {a0}, the LRU victim
+    std::vector<std::byte> out(kBs);
+    for (BlockId id = 0; id < 4; ++id) ASSERT_TRUE(b->ReadBlock(id, out.data()).ok());
+    EXPECT_EQ(a->cached_blocks(), 1u);
+    EXPECT_EQ(stats.snapshot().EvictionsFor(FileClass::kInner), 0u);
+    EXPECT_EQ(stats.snapshot().EvictionsFor(FileClass::kLeaf), 3u);
+    EXPECT_EQ(0, std::memcmp(ref.data(), data.data(), kBs));
+  }
+  // Unpinned, a0 is the least recently used frame again and goes first.
+  std::vector<std::byte> out(kBs);
+  ASSERT_TRUE(b->ReadBlock(0, out.data()).ok());
+  EXPECT_EQ(a->cached_blocks(), 0u);
+}
+
+TEST(BufferManager, AllPinnedWriteGoesToDeviceAfterWriteAhead) {
+  // With the only frame pinned, a write-back write cannot be deferred: it is
+  // paid at once, so it must force the write-ahead hook before the device
+  // write and count as a write-back, like a deferred write's eviction.
+  for (bool write_back : {false, true}) {
+    BufferManager::Options options;
+    options.write_back = write_back;
+    BufferedFile f(1, options);
+    FillDevice(f, 8);
+    const auto data = Pattern(kBs, 99);
+    int hook_calls = 0;
+    bool on_device_at_hook = false;
+    f.file->SetWriteAheadHook([&] {
+      ++hook_calls;
+      std::vector<std::byte> now(kBs);
+      CheckOk(f.dev.Read(1, now.data()), "hook read");
+      on_device_at_hook = std::memcmp(now.data(), data.data(), kBs) == 0;
+      return Status::Ok();
+    });
+    PageRef pinned;
+    ASSERT_TRUE(f.file->PinBlock(0, &pinned).ok());
+    const IoStatsSnapshot before = f.stats.snapshot();
+    ASSERT_TRUE(f.file->WriteBlock(1, data.data()).ok());
+    const IoStatsSnapshot delta = f.stats.snapshot() - before;
+    if (write_back) {
+      EXPECT_EQ(hook_calls, 1);
+      EXPECT_FALSE(on_device_at_hook);
+      EXPECT_EQ(delta.WritebacksFor(FileClass::kLeaf), 1u);
+    }
+    EXPECT_EQ(delta.TotalWrites(), 1u) << "wb=" << write_back;
+    EXPECT_EQ(delta.TotalEvictions(), 0u) << "wb=" << write_back;
+    EXPECT_EQ(f.file->cached_blocks(), 1u) << "wb=" << write_back;  // not cached
+    EXPECT_EQ(f.file->dirty_blocks(), 0u) << "wb=" << write_back;
+    std::vector<std::byte> direct(kBs);
+    ASSERT_TRUE(f.dev.Read(1, direct.data()).ok());
+    EXPECT_EQ(0, std::memcmp(direct.data(), data.data(), kBs)) << "wb=" << write_back;
+    EXPECT_TRUE(Holds(pinned, 0));
+  }
+}
+
+TEST(BufferManagerDeathTest, DroppingPinnedFrameAborts) {
+  EXPECT_DEATH(
+      {
+        BufferedFile f(2);
+        PageRef ref;
+        CheckOk(f.file->PinBlock(0, &ref), "pin");
+        (void)f.file->DropCaches();
+      },
+      "still pinned");
+  EXPECT_DEATH(
+      {
+        BufferedFile f(2);
+        PageRef ref;
+        CheckOk(f.file->PinBlock(0, &ref), "pin");
+        f.manager.UnregisterFile(f.file);
+      },
+      "still pinned");
+}
+
 // --- PagedFile ----------------------------------------------------------
 
 PagedFile MakeMemFile(IoStats* stats, PagedFileOptions options = {}) {
@@ -526,30 +721,50 @@ TEST(PagedFile, RunRecyclingIgnoredWithoutReuseOption) {
 TEST(PagedFile, ByteRangeSpanningPartialHeadAndTail) {
   // Write covering [100, 2*kBs+100): partial head block 0, full block 1,
   // partial tail block 2. Head and tail need read-modify-write; the full
-  // middle block must skip the read.
-  IoStats stats;
-  auto file = MakeMemFile(&stats);
-  (void)file.AllocateRun(3);
-  std::vector<std::byte> data(2 * kBs);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<std::byte>((i * 13 + 1) & 0xFF);
+  // middle block must skip the read. Reading it back costs exactly one block
+  // access per touched block.
+  for (std::size_t budget : {1u, 3u}) {
+    IoStats stats;
+    PagedFileOptions options;
+    options.buffer_pool_blocks = budget;
+    auto file = MakeMemFile(&stats, options);
+    (void)file.AllocateRun(3);
+    std::vector<std::byte> data(2 * kBs);
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      data[i] = static_cast<std::byte>((i * 13 + 1) & 0xFF);
+    }
+    stats.Reset();
+    ASSERT_TRUE(file.WriteBytes(100, data.size(), data.data()).ok());
+    EXPECT_EQ(stats.snapshot().TotalReads(), 2u);   // head + tail RMW fetches
+    EXPECT_EQ(stats.snapshot().TotalWrites(), 3u);  // all three touched blocks
+
+    stats.Reset();
+    std::vector<std::byte> out(data.size());
+    ASSERT_TRUE(file.ReadBytes(100, out.size(), out.data()).ok());
+    EXPECT_EQ(data, out);
+    const IoStatsSnapshot io = stats.snapshot();
+    EXPECT_EQ(io.TotalHits() + io.TotalMisses(), 3u) << "budget=" << budget;
+    // Budget 1 holds only the last written block (2), which the head fetch
+    // evicts; budget 3 holds all three.
+    EXPECT_EQ(io.TotalReads(), budget == 1 ? 3u : 0u) << "budget=" << budget;
+    EXPECT_EQ(io.TotalEvictions(), budget == 1 ? 3u : 0u) << "budget=" << budget;
+    EXPECT_EQ(io.TotalWrites(), 0u);
+
+    // A range inside one block is one access.
+    stats.Reset();
+    std::vector<std::byte> small(10);
+    ASSERT_TRUE(file.ReadBytes(kBs + 7, small.size(), small.data()).ok());
+    EXPECT_EQ(0, std::memcmp(small.data(), data.data() + kBs + 7 - 100, small.size()));
+    EXPECT_EQ(stats.snapshot().TotalHits() + stats.snapshot().TotalMisses(), 1u);
+
+    // Bytes outside the written range stayed zero (Grow zero-fills).
+    std::vector<std::byte> head(100);
+    ASSERT_TRUE(file.ReadBytes(0, head.size(), head.data()).ok());
+    for (std::byte b : head) EXPECT_EQ(b, std::byte{0});
+    std::vector<std::byte> tail(kBs - 100);
+    ASSERT_TRUE(file.ReadBytes(2 * kBs + 100, tail.size(), tail.data()).ok());
+    for (std::byte b : tail) EXPECT_EQ(b, std::byte{0});
   }
-  stats.Reset();
-  ASSERT_TRUE(file.WriteBytes(100, data.size(), data.data()).ok());
-  EXPECT_EQ(stats.snapshot().TotalReads(), 2u);   // head + tail RMW fetches
-  EXPECT_EQ(stats.snapshot().TotalWrites(), 3u);  // all three touched blocks
-
-  std::vector<std::byte> out(data.size());
-  ASSERT_TRUE(file.ReadBytes(100, out.size(), out.data()).ok());
-  EXPECT_EQ(data, out);
-
-  // Bytes outside the written range stayed zero (Grow zero-fills).
-  std::vector<std::byte> head(100);
-  ASSERT_TRUE(file.ReadBytes(0, head.size(), head.data()).ok());
-  for (std::byte b : head) EXPECT_EQ(b, std::byte{0});
-  std::vector<std::byte> tail(kBs - 100);
-  ASSERT_TRUE(file.ReadBytes(2 * kBs + 100, tail.size(), tail.data()).ok());
-  for (std::byte b : tail) EXPECT_EQ(b, std::byte{0});
 }
 
 TEST(PagedFile, ReadBytesAlignedSpanSkipsRmw) {
@@ -629,6 +844,42 @@ TEST(FaultInjection, ManagerPropagatesErrorsWithoutCaching) {
   EXPECT_TRUE(file->ReadBlock(1, buf.data()).ok());
 }
 
+TEST(FaultInjection, FailedPinCachesNothing) {
+  // PinBlock keeps ReadBlock's read-before-evict rule: a failed device read
+  // caches nothing, costs no victim (here a dirty frame in a 1-frame pool)
+  // and leaves the ref empty, even if it held a pin before the call.
+  auto base = std::make_unique<MemoryBlockDevice>(kBs);
+  ASSERT_TRUE(base->Grow(4).ok());
+  auto* raw = new FaultInjectionDevice(
+      std::unique_ptr<BlockDevice>(std::move(base)));
+  std::unique_ptr<BlockDevice> owned(raw);
+  IoStats stats;
+  BufferManager::Options options;
+  options.write_back = true;
+  BufferManager manager(options);
+  FileHandle* file = manager.RegisterFile(owned.get(), &stats, FileClass::kLeaf, 1);
+  const auto data = Pattern(kBs, 33);
+  ASSERT_TRUE(file->WriteBlock(0, data.data()).ok());  // dirty, deferred
+  PageRef ref;
+  ASSERT_TRUE(file->PinBlock(0, &ref).ok());
+  raw->FailBlock(1);
+  EXPECT_FALSE(file->PinBlock(1, &ref).ok());
+  EXPECT_TRUE(ref.empty());
+  EXPECT_EQ(file->cached_blocks(), 1u);  // victim survived
+  EXPECT_EQ(file->dirty_blocks(), 1u);
+  EXPECT_EQ(stats.snapshot().TotalWrites(), 0u);
+  EXPECT_EQ(stats.snapshot().EvictionsFor(FileClass::kLeaf), 0u);
+  raw->ClearFailBlock();
+  // After the failure clears, the block is read from the device, not a
+  // stale frame, and the dirty victim is written back to make room.
+  const auto fresh = Pattern(kBs, 44);
+  ASSERT_TRUE(raw->Write(1, fresh.data()).ok());
+  ASSERT_TRUE(file->PinBlock(1, &ref).ok());
+  EXPECT_EQ(0, std::memcmp(ref.data(), fresh.data(), kBs));
+  EXPECT_EQ(stats.snapshot().TotalWrites(), 1u);
+  ref.Release();
+}
+
 TEST(FaultInjection, FailedReadLeavesVictimCachedAndDirty) {
   // A miss must fetch BEFORE evicting: if the device read fails, the would-be
   // victim (here a dirty frame in a 1-frame pool) keeps its slot, its dirty
@@ -703,14 +954,6 @@ TEST(DiskModel, SsdFasterThanHdd) {
   IoStatsSnapshot io;
   io.reads[0] = 100;
   EXPECT_LT(DiskModel::Ssd().IoMicros(io), DiskModel::Hdd().IoMicros(io));
-}
-
-TEST(DiskModel, ThroughputInvertsLatency) {
-  IoStatsSnapshot io;
-  io.reads[0] = 4;  // 4 blocks/op, 1 op
-  const DiskModel ssd = DiskModel::Ssd();
-  const double tput = ssd.ThroughputOps(1, /*cpu_micros=*/0.0, io);
-  EXPECT_NEAR(tput, 1e6 / (4 * ssd.read_latency_us), 1e-6);
 }
 
 TEST(IoStatsSnapshotTest, DeltaArithmetic) {
