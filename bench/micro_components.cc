@@ -7,11 +7,13 @@
 #include "btree/btree_index.h"
 #include "common/linear_model.h"
 #include "common/random.h"
+#include "pgm/static_pgm.h"
 #include "segmentation/fmcd.h"
 #include "segmentation/greedy_segmentation.h"
 #include "segmentation/piecewise_linear.h"
 #include "storage/block_device.h"
 #include "storage/buffer_manager.h"
+#include "storage/paged_file.h"
 #include "workload/datasets.h"
 
 namespace liod {
@@ -70,6 +72,31 @@ void BM_BufferManagerHit(benchmark::State& state) {
 }
 BENCHMARK(BM_BufferManagerHit);
 
+/// Random pins across a fully cached 16384-frame shared LRU pool: every pin
+/// is a hit on a different frame, so the frame lookup and the policy update
+/// dominate (BM_BufferManagerHit re-reads one block and cannot see them).
+void BM_BufferManagerPinHit(benchmark::State& state) {
+  constexpr BlockId kFrames = 16384;
+  MemoryBlockDevice dev(4096);
+  (void)dev.Grow(kFrames);
+  IoStats stats;
+  BufferManager::Options options;
+  options.shared_budget_frames = kFrames;
+  BufferManager manager(options);
+  FileHandle* file = manager.RegisterFile(&dev, &stats, FileClass::kLeaf, kFrames);
+  PageRef ref;
+  for (BlockId id = 0; id < kFrames; ++id) (void)file->PinBlock(id, &ref);
+  std::vector<BlockId> ids(1 << 16);
+  Rng rng(11);
+  for (BlockId& id : ids) id = static_cast<BlockId>(rng.NextBounded(kFrames));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(file->PinBlock(ids[i], &ref));
+    i = (i + 1) & (ids.size() - 1);
+  }
+}
+BENCHMARK(BM_BufferManagerPinHit);
+
 void BM_BufferManagerMissChurn(benchmark::State& state) {
   MemoryBlockDevice dev(4096);
   (void)dev.Grow(64);
@@ -101,6 +128,37 @@ void BM_BTreeDiskLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BTreeDiskLookup);
+
+/// Lookups of random present keys in a fully cached StaticPgm over 1M fb
+/// keys at the default error bounds (64 data, 16 inner): the learned-index
+/// search plus its pool hits, with no device reads.
+void BM_StaticPgmLookup(benchmark::State& state) {
+  const auto keys = BenchKeys(1'000'000);
+  std::vector<Record> records(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) records[i] = {keys[i], keys[i] + 1};
+  IoStats stats;
+  BufferManager manager(BufferManager::Options{});
+  PagedFileOptions options;
+  options.buffer_pool_blocks = BufferManager::kUnbounded;
+  PagedFile inner(std::make_unique<MemoryBlockDevice>(4096), &manager, &stats,
+                  FileClass::kInner, options);
+  PagedFile leaf(std::make_unique<MemoryBlockDevice>(4096), &manager, &stats,
+                 FileClass::kLeaf, options);
+  StaticPgm pgm(&inner, &leaf, &stats, 64, 16);
+  CheckOk(pgm.Build(records), "build");
+  Rng rng(5);
+  for (const Key key : keys) {  // warm every block
+    Payload p;
+    bool found;
+    CheckOk(pgm.Lookup(key, &p, &found), "warm-up");
+  }
+  for (auto _ : state) {
+    Payload p;
+    bool found;
+    benchmark::DoNotOptimize(pgm.Lookup(keys[rng.NextBounded(keys.size())], &p, &found));
+  }
+}
+BENCHMARK(BM_StaticPgmLookup);
 
 }  // namespace
 }  // namespace liod

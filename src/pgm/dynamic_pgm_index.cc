@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "pgm/window_buffer.h"
+
 namespace liod {
 
 namespace {
@@ -124,13 +126,13 @@ Status DynamicPgmIndex::BufferFind(Key key, std::size_t* pos, bool* exists,
   const std::size_t rpb = options_.block_size / sizeof(Record);
   const std::uint64_t base =
       static_cast<std::uint64_t>(buffer_start_) * options_.block_size;
-  std::vector<Record> block;
+  // One 4 KiB block of records stays inline; larger blocks use the heap.
+  WindowBuffer<Record, 256> block;
   for (std::size_t first = 0; first < buffer_count_; first += rpb) {
     const std::size_t take = std::min(rpb, buffer_count_ - first);
-    block.resize(take);
     LIOD_RETURN_IF_ERROR(
         buffer_file_->ReadBytes(base + first * sizeof(Record), take * sizeof(Record),
-                                reinterpret_cast<std::byte*>(block.data())));
+                                reinterpret_cast<std::byte*>(block.Assign(take))));
     const bool last_block = first + take >= buffer_count_;
     if (key <= block.back().key || last_block) {
       const auto it = std::lower_bound(block.begin(), block.end(), key, RecordKeyLess());

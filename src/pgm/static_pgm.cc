@@ -3,9 +3,32 @@
 #include <algorithm>
 #include <cstring>
 
+#include "pgm/window_buffer.h"
 #include "segmentation/piecewise_linear.h"
 
 namespace liod {
+
+namespace {
+/// Inline capacity of a search window, in elements. A window spans
+/// 2*(eps+2)+1 positions, so this keeps every window up to eps = 125 off the
+/// heap: the defaults (eps 64 data, 16 inner) need 133 and 37.
+constexpr std::size_t kInlineWindow = 256;
+
+/// Writes `bytes` from `data` over the run starting at block `start`, the last
+/// block zero-padded. Full blocks go straight from `data`, so a bulkload never
+/// holds a second copy of its records.
+Status WritePaddedRun(PagedFile* file, BlockId start, const void* data, std::uint64_t bytes) {
+  const std::uint64_t bs = file->block_size();
+  const std::uint64_t base = static_cast<std::uint64_t>(start) * bs;
+  const std::uint64_t full = bytes / bs * bs;
+  const auto* src = static_cast<const std::byte*>(data);
+  if (full > 0) LIOD_RETURN_IF_ERROR(file->WriteBytes(base, full, src));
+  if (full == bytes) return Status::Ok();
+  std::vector<std::byte> tail(bs, std::byte{0});
+  std::memcpy(tail.data(), src + full, bytes - full);
+  return file->WriteBytes(base + full, bs, tail.data());
+}
+}  // namespace
 
 StaticPgm::StaticPgm(PagedFile* inner_file, PagedFile* leaf_file, IoStats* stats,
                      std::uint32_t epsilon, std::uint32_t epsilon_inner)
@@ -35,20 +58,13 @@ Status StaticPgm::Build(std::span<const Record> records) {
   const std::uint32_t data_blocks =
       static_cast<std::uint32_t>((data_bytes + bs - 1) / bs);
   data_start_ = leaf_file_->AllocateRun(data_blocks);
-  {
-    std::vector<std::byte> padded(static_cast<std::size_t>(data_blocks) * bs,
-                                  std::byte{0});
-    std::memcpy(padded.data(), records.data(), data_bytes);
-    LIOD_RETURN_IF_ERROR(leaf_file_->WriteBytes(
-        static_cast<std::uint64_t>(data_start_) * bs, padded.size(), padded.data()));
-  }
+  LIOD_RETURN_IF_ERROR(WritePaddedRun(leaf_file_, data_start_, records.data(), data_bytes));
 
   // --- recursive entry levels ---------------------------------------------
-  std::vector<Key> keys(records.size());
-  for (std::size_t i = 0; i < records.size(); ++i) keys[i] = records[i].key;
-
+  PlaBuilder data_pla(epsilon_);
+  for (const Record& record : records) data_pla.Add(record.key);
   std::vector<Entry> entries;
-  for (const auto& seg : BuildOptimalPla(keys, epsilon_)) {
+  for (const auto& seg : data_pla.Finish()) {
     entries.push_back(Entry{seg.first_key, seg.slope, seg.intercept});
   }
   while (entries.size() > 1) {
@@ -58,17 +74,14 @@ Status StaticPgm::Build(std::span<const Record> records) {
     const std::uint64_t bytes = entries.size() * sizeof(Entry);
     const std::uint32_t blocks = static_cast<std::uint32_t>((bytes + bs - 1) / bs);
     meta.start_block = inner_file_->AllocateRun(blocks);
-    std::vector<std::byte> padded(static_cast<std::size_t>(blocks) * bs, std::byte{0});
-    std::memcpy(padded.data(), entries.data(), bytes);
-    LIOD_RETURN_IF_ERROR(inner_file_->WriteBytes(
-        static_cast<std::uint64_t>(meta.start_block) * bs, padded.size(), padded.data()));
+    LIOD_RETURN_IF_ERROR(WritePaddedRun(inner_file_, meta.start_block, entries.data(), bytes));
     levels_.push_back(meta);
 
     // Build the level above over this level's first keys.
-    std::vector<Key> level_keys(entries.size());
-    for (std::size_t i = 0; i < entries.size(); ++i) level_keys[i] = entries[i].first_key;
+    PlaBuilder level_pla(epsilon_inner_);
+    for (const Entry& entry : entries) level_pla.Add(entry.first_key);
     std::vector<Entry> parents;
-    for (const auto& seg : BuildOptimalPla(level_keys, epsilon_inner_)) {
+    for (const auto& seg : level_pla.Finish()) {
       parents.push_back(Entry{seg.first_key, seg.slope, seg.intercept});
     }
     entries = std::move(parents);
@@ -85,13 +98,20 @@ Status StaticPgm::Build(std::span<const Record> records) {
 }
 
 Status StaticPgm::ReadEntryWindow(std::size_t level, std::uint64_t lo, std::uint64_t hi,
-                                  std::vector<Entry>* out) {
-  out->resize(hi - lo);
+                                  Entry* out) {
   const std::uint64_t off =
       static_cast<std::uint64_t>(levels_[level].start_block) * inner_file_->block_size() +
       lo * sizeof(Entry);
   return inner_file_->ReadBytes(off, (hi - lo) * sizeof(Entry),
-                                reinterpret_cast<std::byte*>(out->data()));
+                                reinterpret_cast<std::byte*>(out));
+}
+
+Status StaticPgm::ReadRecordWindow(std::uint64_t lo, std::uint64_t hi, Record* out) {
+  const std::uint64_t off =
+      static_cast<std::uint64_t>(data_start_) * leaf_file_->block_size() +
+      lo * sizeof(Record);
+  return leaf_file_->ReadBytes(off, (hi - lo) * sizeof(Record),
+                               reinterpret_cast<std::byte*>(out));
 }
 
 Status StaticPgm::PredictDataWindow(Key key, std::uint64_t* lo, std::uint64_t* hi) {
@@ -102,6 +122,7 @@ Status StaticPgm::PredictDataWindow(Key key, std::uint64_t* lo, std::uint64_t* h
   double next_start = static_cast<double>(root_predicts_data_
                                               ? num_records_
                                               : root_child_count_);
+  WindowBuffer<Entry, kInlineWindow> window;
   for (std::size_t i = levels_.size(); i-- > 0;) {
     const std::uint64_t child_count = levels_[i].count;
     const std::int64_t slack = static_cast<std::int64_t>(epsilon_inner_) + 2;
@@ -115,25 +136,20 @@ Status StaticPgm::PredictDataWindow(Key key, std::uint64_t* lo, std::uint64_t* h
     std::uint64_t whi = std::min<std::uint64_t>(
         child_count, static_cast<std::uint64_t>(pred + slack + 1));
 
-    std::vector<Entry> window;
-    LIOD_RETURN_IF_ERROR(ReadEntryWindow(i, wlo, whi, &window));
+    LIOD_RETURN_IF_ERROR(ReadEntryWindow(i, wlo, whi, window.Assign(whi - wlo)));
     if (stats_ != nullptr) stats_->CountInnerNodeVisit();
     // Extend left until the window contains a floor candidate.
     while (wlo > 0 && (window.empty() || window.front().first_key > key)) {
       const std::uint64_t new_lo =
           wlo > static_cast<std::uint64_t>(slack) ? wlo - slack : 0;
-      std::vector<Entry> prefix;
-      LIOD_RETURN_IF_ERROR(ReadEntryWindow(i, new_lo, wlo, &prefix));
-      window.insert(window.begin(), prefix.begin(), prefix.end());
+      LIOD_RETURN_IF_ERROR(ReadEntryWindow(i, new_lo, wlo, window.GrowFront(wlo - new_lo)));
       wlo = new_lo;
     }
     // Extend right while the floor may lie past the window.
     while (whi < child_count && !window.empty() && window.back().first_key <= key) {
       const std::uint64_t new_hi =
           std::min<std::uint64_t>(child_count, whi + static_cast<std::uint64_t>(slack));
-      std::vector<Entry> suffix;
-      LIOD_RETURN_IF_ERROR(ReadEntryWindow(i, whi, new_hi, &suffix));
-      window.insert(window.end(), suffix.begin(), suffix.end());
+      LIOD_RETURN_IF_ERROR(ReadEntryWindow(i, whi, new_hi, window.GrowBack(new_hi - whi)));
       whi = new_hi;
     }
     // Floor entry: last with first_key <= key (clamped to the first entry).
@@ -175,12 +191,8 @@ Status StaticPgm::Lookup(Key key, Payload* payload, bool* found) {
   if (num_records_ == 0 || key < min_key_ || key > max_key_) return Status::Ok();
   std::uint64_t lo, hi;
   LIOD_RETURN_IF_ERROR(PredictDataWindow(key, &lo, &hi));
-  std::vector<Record> window(hi - lo);
-  const std::uint64_t off = static_cast<std::uint64_t>(data_start_) *
-                                leaf_file_->block_size() +
-                            lo * sizeof(Record);
-  LIOD_RETURN_IF_ERROR(leaf_file_->ReadBytes(off, window.size() * sizeof(Record),
-                                             reinterpret_cast<std::byte*>(window.data())));
+  WindowBuffer<Record, kInlineWindow> window;
+  LIOD_RETURN_IF_ERROR(ReadRecordWindow(lo, hi, window.Assign(hi - lo)));
   if (stats_ != nullptr) stats_->CountLeafNodeVisit();
   const auto it = std::lower_bound(window.begin(), window.end(), key, RecordKeyLess());
   if (it != window.end() && it->key == key) {
@@ -201,35 +213,21 @@ Status StaticPgm::LowerBound(Key key, std::uint64_t* pos) {
   }
   std::uint64_t lo, hi;
   LIOD_RETURN_IF_ERROR(PredictDataWindow(key, &lo, &hi));
-  const std::size_t bs = leaf_file_->block_size();
-  const std::uint64_t base = static_cast<std::uint64_t>(data_start_) * bs;
-  std::vector<Record> window(hi - lo);
-  LIOD_RETURN_IF_ERROR(leaf_file_->ReadBytes(base + lo * sizeof(Record),
-                                             window.size() * sizeof(Record),
-                                             reinterpret_cast<std::byte*>(window.data())));
+  WindowBuffer<Record, kInlineWindow> window;
+  LIOD_RETURN_IF_ERROR(ReadRecordWindow(lo, hi, window.Assign(hi - lo)));
   if (stats_ != nullptr) stats_->CountLeafNodeVisit();
   const std::uint64_t step = static_cast<std::uint64_t>(epsilon_) + 2;
   // Extend left while the entire window is >= key (true lower_bound may be
   // earlier; happens only for keys extrapolated between segments).
   while (lo > 0 && (window.empty() || window.front().key >= key)) {
     const std::uint64_t new_lo = lo > step ? lo - step : 0;
-    std::vector<Record> prefix(lo - new_lo);
-    LIOD_RETURN_IF_ERROR(
-        leaf_file_->ReadBytes(base + new_lo * sizeof(Record),
-                              prefix.size() * sizeof(Record),
-                              reinterpret_cast<std::byte*>(prefix.data())));
-    window.insert(window.begin(), prefix.begin(), prefix.end());
+    LIOD_RETURN_IF_ERROR(ReadRecordWindow(new_lo, lo, window.GrowFront(lo - new_lo)));
     lo = new_lo;
   }
   // Extend right while the entire window is < key.
   while (hi < num_records_ && (window.empty() || window.back().key < key)) {
     const std::uint64_t new_hi = std::min<std::uint64_t>(num_records_, hi + step);
-    std::vector<Record> suffix(new_hi - hi);
-    LIOD_RETURN_IF_ERROR(
-        leaf_file_->ReadBytes(base + hi * sizeof(Record),
-                              suffix.size() * sizeof(Record),
-                              reinterpret_cast<std::byte*>(suffix.data())));
-    window.insert(window.end(), suffix.begin(), suffix.end());
+    LIOD_RETURN_IF_ERROR(ReadRecordWindow(hi, new_hi, window.GrowBack(new_hi - hi)));
     hi = new_hi;
   }
   const auto it = std::lower_bound(window.begin(), window.end(), key, RecordKeyLess());
@@ -244,11 +242,7 @@ Status StaticPgm::ReadRecords(std::uint64_t pos, std::size_t count,
   const std::size_t take = static_cast<std::size_t>(
       std::min<std::uint64_t>(count, num_records_ - pos));
   out->resize(take);
-  const std::uint64_t off = static_cast<std::uint64_t>(data_start_) *
-                                leaf_file_->block_size() +
-                            pos * sizeof(Record);
-  return leaf_file_->ReadBytes(off, take * sizeof(Record),
-                               reinterpret_cast<std::byte*>(out->data()));
+  return ReadRecordWindow(pos, pos + take, out->data());
 }
 
 }  // namespace liod

@@ -70,9 +70,11 @@ class StaticPgm {
     std::uint64_t count = 0;
   };
 
-  /// Reads entries [lo, hi) of level `level` into out.
-  Status ReadEntryWindow(std::size_t level, std::uint64_t lo, std::uint64_t hi,
-                         std::vector<Entry>* out);
+  /// Reads entries [lo, hi) of level `level` into out[0, hi - lo).
+  Status ReadEntryWindow(std::size_t level, std::uint64_t lo, std::uint64_t hi, Entry* out);
+
+  /// Reads records [lo, hi) of the data run into out[0, hi - lo).
+  Status ReadRecordWindow(std::uint64_t lo, std::uint64_t hi, Record* out);
 
   /// Descends to the data level and returns the floor window search result:
   /// the data position window [lo, hi) that must contain `key` if present.

@@ -3,44 +3,65 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <list>
 #include <string>
 
 namespace liod {
 
 namespace {
 
-/// Shared machinery of the exact-ordering policies: a recency list (front =
-/// newest) with O(1) erase. LRU and FIFO differ only in whether Touch
-/// reorders.
+constexpr std::uint32_t kNil = std::numeric_limits<std::uint32_t>::max();
+
+/// Shared machinery of the exact-ordering policies: an intrusive recency list
+/// (head = newest) threaded through slot-indexed prev/next links, so insert,
+/// erase and move-to-front are array stores. LRU and FIFO differ only in
+/// whether Touch reorders.
 class ListPolicy : public EvictionPolicy {
  public:
   void Insert(std::size_t frame) override {
-    order_.push_front(frame);
-    pos_[frame] = order_.begin();
+    if (frame >= links_.size()) links_.resize(frame + 1);
+    PushFront(static_cast<std::uint32_t>(frame));
   }
-  void Erase(std::size_t frame) override {
-    const auto it = pos_.find(frame);
-    order_.erase(it->second);
-    pos_.erase(it);
-  }
+  void Erase(std::size_t frame) override { Unlink(static_cast<std::uint32_t>(frame)); }
   std::size_t Victim(const PinnedFn& pinned) override {
-    for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
-      if (!pinned(*it)) return *it;
+    for (std::uint32_t frame = tail_; frame != kNil; frame = links_[frame].prev) {
+      if (!pinned(frame)) return frame;
     }
     return kNoVictim;
   }
 
  protected:
-  std::list<std::size_t> order_;  // front = most recent
-  std::unordered_map<std::size_t, std::list<std::size_t>::iterator> pos_;
+  void PushFront(std::uint32_t frame) {
+    links_[frame] = {kNil, head_};
+    if (head_ != kNil) {
+      links_[head_].prev = frame;
+    } else {
+      tail_ = frame;
+    }
+    head_ = frame;
+  }
+  void Unlink(std::uint32_t frame) {
+    const Link link = links_[frame];
+    (link.prev != kNil ? links_[link.prev].next : head_) = link.next;
+    (link.next != kNil ? links_[link.next].prev : tail_) = link.prev;
+  }
+
+  struct Link {
+    std::uint32_t prev;  ///< newer neighbour
+    std::uint32_t next;  ///< older neighbour
+  };
+  std::vector<Link> links_;  // indexed by slot; meaningful only while listed
+  std::uint32_t head_ = kNil;  // most recent
+  std::uint32_t tail_ = kNil;  // least recent
 };
 
 class LruPolicy final : public ListPolicy {
  public:
   const char* name() const override { return "lru"; }
   void Touch(std::size_t frame) override {
-    order_.splice(order_.begin(), order_, pos_[frame]);
+    const auto slot = static_cast<std::uint32_t>(frame);
+    if (slot == head_) return;
+    Unlink(slot);
+    PushFront(slot);
   }
 };
 
@@ -58,6 +79,7 @@ class ClockPolicy final : public EvictionPolicy {
   const char* name() const override { return "clock"; }
 
   void Insert(std::size_t frame) override {
+    if (frame >= pos_.size()) pos_.resize(frame + 1);
     pos_[frame] = ring_.size();
     ring_.push_back({frame, false});
     ++live_;
@@ -66,9 +88,7 @@ class ClockPolicy final : public EvictionPolicy {
   void Touch(std::size_t frame) override { ring_[pos_[frame]].ref = true; }
 
   void Erase(std::size_t frame) override {
-    const auto it = pos_.find(frame);
-    ring_[it->second].frame = kTombstone;
-    pos_.erase(it);
+    ring_[pos_[frame]].frame = kTombstone;
     --live_;
     if (ring_.size() > 2 * live_ + 8) Compact();
   }
@@ -115,7 +135,7 @@ class ClockPolicy final : public EvictionPolicy {
   }
 
   std::vector<Entry> ring_;
-  std::unordered_map<std::size_t, std::size_t> pos_;
+  std::vector<std::size_t> pos_;  // slot -> ring index, meaningful while live
   std::size_t hand_ = 0;
   std::size_t live_ = 0;
 };
@@ -169,26 +189,27 @@ Status FileHandle::Flush() {
 Status FileHandle::DropCaches() {
   std::lock_guard<std::mutex> lock(manager_->mu_);
   LIOD_RETURN_IF_ERROR(manager_->FlushLocked(this));
-  // All frames are clean now; discard them.
-  while (!frames_.empty()) manager_->DropFrameLocked(frames_.begin()->second);
+  manager_->DropFramesLocked(this);  // all clean now
   return Status::Ok();
 }
 
 Status FileHandle::Grow(BlockId new_num_blocks) {
   std::lock_guard<std::mutex> lock(manager_->mu_);
-  return device_->Grow(new_num_blocks);
+  LIOD_RETURN_IF_ERROR(device_->Grow(new_num_blocks));
+  if (frames_.size() < device_->num_blocks()) frames_.resize(device_->num_blocks(), kNoSlot);
+  return Status::Ok();
 }
 
 std::size_t FileHandle::cached_blocks() const {
   std::lock_guard<std::mutex> lock(manager_->mu_);
-  return frames_.size();
+  return cached_;
 }
 
 std::size_t FileHandle::dirty_blocks() const {
   std::lock_guard<std::mutex> lock(manager_->mu_);
   std::size_t dirty = 0;
-  for (const auto& [block, slot] : frames_) {
-    if (manager_->slots_[slot].dirty) ++dirty;
+  for (const std::uint32_t slot : frames_) {
+    if (slot != kNoSlot && manager_->slots_[slot].dirty) ++dirty;
   }
   return dirty;
 }
@@ -231,6 +252,7 @@ FileHandle* BufferManager::RegisterFile(BlockDevice* device, IoStats* stats,
   file->stats_ = stats;
   file->klass_ = klass;
   file->count_io_ = count_io;
+  file->frames_.assign(device->num_blocks(), FileHandle::kNoSlot);
   if (!count_io) {
     // Memory-resident mode (Section 6.2): pinned, uncounted, unbounded --
     // never competes with counted files for the shared budget.
@@ -249,7 +271,7 @@ void BufferManager::UnregisterFile(FileHandle* file) {
   std::lock_guard<std::mutex> lock(mu_);
   // The file is being deleted: its frames are discarded without write-back.
   // (PagedFile's destructor flushes first unless the file was marked deleted.)
-  while (!file->frames_.empty()) DropFrameLocked(file->frames_.begin()->second);
+  DropFramesLocked(file);
   if (PoolIsPrivateLocked(file)) {
     // Recycle the private pool's slot so file churn cannot grow the table.
     pools_[file->pool_].reset();
@@ -309,6 +331,7 @@ std::size_t BufferManager::InsertFrameLocked(FileHandle* file, BlockId id, bool 
     free_slots_.pop_back();
   } else {
     slot = slots_.size();
+    assert(slot < FileHandle::kNoSlot && "frame slots exhausted");
     slots_.emplace_back();
   }
   Frame& frame = slots_[slot];
@@ -316,7 +339,12 @@ std::size_t BufferManager::InsertFrameLocked(FileHandle* file, BlockId id, bool 
   frame.block = id;
   frame.data = std::move(data);
   frame.dirty = dirty;
-  file->frames_[id] = slot;
+  if (id >= file->frames_.size()) {
+    file->frames_.resize(std::max<std::size_t>(id + 1, file->device_->num_blocks()),
+                         FileHandle::kNoSlot);
+  }
+  file->frames_[id] = static_cast<std::uint32_t>(slot);
+  ++file->cached_;
   Pool& pool = *pools_[file->pool_];
   ++pool.frames;
   pool.policy->Insert(slot);
@@ -342,11 +370,18 @@ void BufferManager::DropFrameLocked(std::size_t slot) {
   Pool& pool = *pools_[frame.file->pool_];
   pool.policy->Erase(slot);
   --pool.frames;
-  frame.file->frames_.erase(frame.block);
+  frame.file->frames_[frame.block] = FileHandle::kNoSlot;
+  --frame.file->cached_;
   frame.file = nullptr;
   frame.data.reset();
   frame.dirty = false;
   free_slots_.push_back(slot);
+}
+
+void BufferManager::DropFramesLocked(FileHandle* file) {
+  for (BlockId id = 0; file->cached_ > 0; ++id) {
+    if (file->frames_[id] != FileHandle::kNoSlot) DropFrameLocked(file->frames_[id]);
+  }
 }
 
 Status BufferManager::ReadBlockLocked(FileHandle* file, BlockId id, std::byte* out) {
@@ -367,11 +402,10 @@ Status BufferManager::PinBlockLocked(FileHandle* file, BlockId id, PageRef* ref)
     ref->pins_ = &frame.pins;
     ref->data_ = frame.data.get();
   };
-  const auto it = file->frames_.find(id);
-  if (it != file->frames_.end()) {
+  if (const std::uint32_t slot = file->SlotOf(id); slot != FileHandle::kNoSlot) {
     if (file->count_io_ && file->stats_ != nullptr) file->stats_->CountHit(file->klass_);
-    pool.policy->Touch(it->second);
-    pin(slots_[it->second]);
+    pool.policy->Touch(slot);
+    pin(slots_[slot]);
     return Status::Ok();
   }
   if (file->count_io_ && file->stats_ != nullptr) file->stats_->CountMiss(file->klass_);
@@ -398,19 +432,23 @@ Status BufferManager::WriteBlockLocked(FileHandle* file, BlockId id,
                                        const std::byte* data) {
   Pool& pool = *pools_[file->pool_];
   LIOD_RETURN_IF_ERROR(CheckBudget(pool));
+  // Rejected up front in both modes, so a deferred write cannot cache (and
+  // size the frame table for) a block the device does not have.
+  if (id >= file->device_->num_blocks()) {
+    return Status::OutOfRange("write past device end: block " + std::to_string(id));
+  }
   if (!options_.write_back) {
     // Write-through: the device write always happens and is always counted.
     LIOD_RETURN_IF_ERROR(file->device_->Write(id, data));
     if (file->count_io_ && file->stats_ != nullptr) file->stats_->CountWrite(file->klass_);
   }
   const bool dirty = options_.write_back;
-  const auto it = file->frames_.find(id);
-  if (it != file->frames_.end()) {
+  if (const std::uint32_t slot = file->SlotOf(id); slot != FileHandle::kNoSlot) {
     if (file->count_io_ && file->stats_ != nullptr) file->stats_->CountHit(file->klass_);
-    pool.policy->Touch(it->second);
-    Frame& frame = slots_[it->second];
+    pool.policy->Touch(slot);
+    Frame& frame = slots_[slot];
     // A pinned frame is being read in place; overwriting it would race.
-    assert(!PinnedLocked(it->second) && "WriteBlock on a pinned frame");
+    assert(!PinnedLocked(slot) && "WriteBlock on a pinned frame");
     std::memcpy(frame.data.get(), data, file->device_->block_size());
     frame.dirty = dirty;
     return Status::Ok();
@@ -453,7 +491,10 @@ bool StrictlyIncreasing(std::span<const BlockId> ids) {
 
 Status BufferManager::ReadBlocksLocked(FileHandle* file, std::span<const BlockId> ids,
                                        std::span<std::byte* const> outs) {
-  if (ids.size() < 2 || !file->device_->SupportsBatch() || !StrictlyIncreasing(ids)) {
+  // A range past the device end takes the per-id path too: it fails at the
+  // first missing block exactly like ReadBlock, before any frame is promised.
+  if (ids.size() < 2 || !file->device_->SupportsBatch() || !StrictlyIncreasing(ids) ||
+      ids.back() >= file->device_->num_blocks()) {
     for (std::size_t i = 0; i < ids.size(); ++i) {
       LIOD_RETURN_IF_ERROR(ReadBlockLocked(file, ids[i], outs[i]));
     }
@@ -473,11 +514,10 @@ Status BufferManager::ReadBlocksLocked(FileHandle* file, std::span<const BlockId
   std::vector<std::byte*> miss_outs;
   for (std::size_t i = 0; i < ids.size(); ++i) {
     const BlockId id = ids[i];
-    const auto it = file->frames_.find(id);
-    if (it != file->frames_.end()) {
+    if (const std::uint32_t slot = file->SlotOf(id); slot != FileHandle::kNoSlot) {
       if (file->count_io_ && file->stats_ != nullptr) file->stats_->CountHit(file->klass_);
-      pool.policy->Touch(it->second);
-      std::memcpy(outs[i], slots_[it->second].data.get(), block_size);
+      pool.policy->Touch(slot);
+      std::memcpy(outs[i], slots_[slot].data.get(), block_size);
       continue;
     }
     if (file->count_io_ && file->stats_ != nullptr) {
@@ -498,15 +538,15 @@ Status BufferManager::ReadBlocksLocked(FileHandle* file, std::span<const BlockId
     // Drop the unfilled promised frames: caching garbage would be worse than
     // the (error-path-only) divergence from the sequential counts.
     for (const BlockId id : miss_ids) {
-      const auto it = file->frames_.find(id);
-      if (it != file->frames_.end()) DropFrameLocked(it->second);
+      if (const std::uint32_t slot = file->SlotOf(id); slot != FileHandle::kNoSlot) {
+        DropFrameLocked(slot);
+      }
     }
     return status;
   }
   for (std::size_t i = 0; i < miss_ids.size(); ++i) {
-    const auto it = file->frames_.find(miss_ids[i]);
-    if (it != file->frames_.end()) {
-      std::memcpy(slots_[it->second].data.get(), miss_outs[i], block_size);
+    if (const std::uint32_t slot = file->SlotOf(miss_ids[i]); slot != FileHandle::kNoSlot) {
+      std::memcpy(slots_[slot].data.get(), miss_outs[i], block_size);
     }
   }
   return Status::Ok();
@@ -534,12 +574,11 @@ Status BufferManager::WriteBlocksLocked(FileHandle* file, std::span<const BlockI
   for (std::size_t i = 0; i < ids.size(); ++i) {
     const BlockId id = ids[i];
     if (file->count_io_ && file->stats_ != nullptr) file->stats_->CountWrite(file->klass_);
-    const auto it = file->frames_.find(id);
-    if (it != file->frames_.end()) {
+    if (const std::uint32_t slot = file->SlotOf(id); slot != FileHandle::kNoSlot) {
       if (file->count_io_ && file->stats_ != nullptr) file->stats_->CountHit(file->klass_);
-      pool.policy->Touch(it->second);
-      assert(!PinnedLocked(it->second) && "WriteBlocks on a pinned frame");
-      std::memcpy(slots_[it->second].data.get(), datas[i], block_size);
+      pool.policy->Touch(slot);
+      assert(!PinnedLocked(slot) && "WriteBlocks on a pinned frame");
+      std::memcpy(slots_[slot].data.get(), datas[i], block_size);
       continue;
     }
     if (file->count_io_ && file->stats_ != nullptr) file->stats_->CountMiss(file->klass_);
@@ -550,15 +589,15 @@ Status BufferManager::WriteBlocksLocked(FileHandle* file, std::span<const BlockI
 }
 
 Status BufferManager::FlushLocked(FileHandle* file) {
-  // Deterministic write-back order (the map iterates in hash order).
+  // The frame table is walked in block order, so write-backs are issued in
+  // ascending block order.
   std::vector<std::size_t> dirty_slots;
-  for (const auto& [block, slot] : file->frames_) {
+  for (std::size_t seen = 0, id = 0; seen < file->cached_; ++id) {
+    const std::uint32_t slot = file->frames_[id];
+    if (slot == FileHandle::kNoSlot) continue;
+    ++seen;
     if (slots_[slot].dirty) dirty_slots.push_back(slot);
   }
-  std::sort(dirty_slots.begin(), dirty_slots.end(),
-            [this](std::size_t a, std::size_t b) {
-              return slots_[a].block < slots_[b].block;
-            });
   if (dirty_slots.size() >= 2 && file->device_->SupportsBatch()) {
     // WAL-before-data once for the whole drain: the hook forces everything
     // unforced, so the first call covers all N pages (per-page re-invocation

@@ -10,7 +10,6 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -25,8 +24,10 @@ namespace liod {
 class BufferManager;
 
 /// Eviction-policy strategy of one frame pool. Implementations track frames
-/// by their stable slot id and pick the next victim. The manager calls every
-/// method under its latch, so implementations need no locking of their own.
+/// by their stable slot id and pick the next victim. Slot ids are small and
+/// dense (the manager recycles them), so implementations keep their state in
+/// slot-indexed arrays. The manager calls every method under its latch, so
+/// implementations need no locking of their own.
 class EvictionPolicy {
  public:
   /// Victim() result when every frame of the pool is pinned.
@@ -161,8 +162,19 @@ class FileHandle {
   IoStats* stats_ = nullptr;
   FileClass klass_ = FileClass::kOther;
   bool count_io_ = true;
+  static constexpr std::uint32_t kNoSlot = std::numeric_limits<std::uint32_t>::max();
+
+  /// Slot of block `id`'s frame, or kNoSlot when it is not cached.
+  std::uint32_t SlotOf(BlockId id) const {
+    return id < frames_.size() ? frames_[id] : kNoSlot;
+  }
+
   std::size_t pool_ = 0;  ///< index into the manager's pool table
-  std::unordered_map<BlockId, std::size_t> frames_;  ///< block -> slot
+  /// Block -> slot of its frame (kNoSlot = not cached). Files are dense block
+  /// ranges, so a hit is one array index. Sized from the device at
+  /// registration and grown with it.
+  std::vector<std::uint32_t> frames_;
+  std::size_t cached_ = 0;  ///< entries of frames_ that are not kNoSlot
   std::function<Status()> write_ahead_;  ///< WAL-before-data hook, may be empty
 };
 
@@ -283,6 +295,8 @@ class BufferManager {
   void InsertCopyLocked(FileHandle* file, BlockId id, bool dirty, const std::byte* src);
   /// Aborts if the frame is pinned.
   void DropFrameLocked(std::size_t slot);
+  /// Drops every frame of `file`, in block order, without flushing.
+  void DropFramesLocked(FileHandle* file);
   std::size_t NewPoolLocked(std::size_t budget);
   static Status CheckBudget(const Pool& pool);
 

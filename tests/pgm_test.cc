@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <tuple>
@@ -139,16 +140,21 @@ TEST(StaticPgm, ReadRecordsSequential) {
 }
 
 class StaticPgmPropertyTest
-    : public ::testing::TestWithParam<std::tuple<int, std::uint32_t>> {};
+    : public ::testing::TestWithParam<std::tuple<int, std::uint32_t>> {
+ protected:
+  std::vector<Key> SweepKeys() const {
+    const int dist = std::get<0>(GetParam());
+    switch (dist) {
+      case 0: return UniformKeys(8000, 40 + dist);
+      case 1: return ClusteredKeys(8000, 40 + dist);
+      default: return HeavyTailKeys(8000, 40 + dist);
+    }
+  }
+};
 
 TEST_P(StaticPgmPropertyTest, EveryKeyReachable) {
   const auto [dist, eps] = GetParam();
-  std::vector<Key> keys;
-  switch (dist) {
-    case 0: keys = UniformKeys(8000, 40 + dist); break;
-    case 1: keys = ClusteredKeys(8000, 40 + dist); break;
-    default: keys = HeavyTailKeys(8000, 40 + dist); break;
-  }
+  const std::vector<Key> keys = SweepKeys();
   StaticPgmFixture f(4096, eps, std::max<std::uint32_t>(4, eps / 4));
   ASSERT_TRUE(f.pgm.Build(ToRecords(keys)).ok());
   for (std::size_t i = 0; i < keys.size(); ++i) {
@@ -160,9 +166,79 @@ TEST_P(StaticPgmPropertyTest, EveryKeyReachable) {
   }
 }
 
+TEST_P(StaticPgmPropertyTest, LowerBoundAndAbsentKeysMatchStdLowerBound) {
+  const auto [dist, eps] = GetParam();
+  const std::vector<Key> keys = SweepKeys();
+  StaticPgmFixture f(4096, eps, std::max<std::uint32_t>(4, eps / 4));
+  ASSERT_TRUE(f.pgm.Build(ToRecords(keys)).ok());
+  // Every key, its neighbours on both sides, and both ends of the key space:
+  // the neighbours are absent unless they collide with an adjacent key.
+  std::vector<Key> probes = {kMinKey, kMaxKey};
+  for (const Key key : keys) {
+    probes.push_back(key - 1);
+    probes.push_back(key);
+    probes.push_back(key + 1);
+  }
+  for (const Key probe : probes) {
+    const auto it = std::lower_bound(keys.begin(), keys.end(), probe);
+    const bool present = it != keys.end() && *it == probe;
+    std::uint64_t pos = 0;
+    ASSERT_TRUE(f.pgm.LowerBound(probe, &pos).ok());
+    ASSERT_EQ(pos, static_cast<std::uint64_t>(it - keys.begin()))
+        << "dist=" << dist << " eps=" << eps << " probe=" << probe;
+    Payload p = 0;
+    bool found = !present;
+    ASSERT_TRUE(f.pgm.Lookup(probe, &p, &found).ok());
+    ASSERT_EQ(found, present) << "dist=" << dist << " eps=" << eps << " probe=" << probe;
+    if (present) {
+      ASSERT_EQ(p, PayloadFor(probe));
+    }
+  }
+}
+
+// eps = 1024 windows (2053 records) outgrow the inline search window, so the
+// lookups of that column run on the heap fallback.
 INSTANTIATE_TEST_SUITE_P(Sweep, StaticPgmPropertyTest,
                          ::testing::Combine(::testing::Values(0, 1, 2),
-                                            ::testing::Values(8u, 64u, 256u)));
+                                            ::testing::Values(8u, 64u, 256u, 1024u)));
+
+TEST(StaticPgm, WideEntryWindowsStraddleBlocks) {
+  // Runs of 2100 consecutive keys separated by huge jumps: no eps = 1024
+  // segment can span two runs, so the entry level holds one entry per run.
+  // With 190 runs it spans two 4 KiB blocks, entry 170 straddles the block
+  // boundary, and every inner window (2053 entries at eps_inner = 1024) is
+  // read on the heap fallback.
+  constexpr std::size_t kRuns = 190;
+  constexpr std::size_t kRunKeys = 2100;
+  std::vector<Key> keys;
+  Key key = 1000;
+  for (std::size_t run = 0; run < kRuns; ++run) {
+    for (std::size_t i = 0; i < kRunKeys; ++i) keys.push_back(key++);
+    key += Key{1} << 36;
+  }
+  StaticPgmFixture f(4096, 1024, 1024);
+  ASSERT_TRUE(f.pgm.Build(ToRecords(keys)).ok());
+  ASSERT_EQ(f.pgm.num_levels(), 1u);
+  ASSERT_GT(f.pgm.segment_count() * 24, 4096u);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    Payload p = 0;
+    bool found = false;
+    ASSERT_TRUE(f.pgm.Lookup(keys[i], &p, &found).ok());
+    ASSERT_TRUE(found) << "i=" << i;
+    ASSERT_EQ(p, PayloadFor(keys[i]));
+  }
+  for (std::size_t run = 0; run + 1 < kRuns; ++run) {
+    // A key inside each jump: absent, and its lower bound is the next run.
+    const Key gap = keys[(run + 1) * kRunKeys - 1] + 1;
+    std::uint64_t pos = 0;
+    ASSERT_TRUE(f.pgm.LowerBound(gap, &pos).ok());
+    ASSERT_EQ(pos, (run + 1) * kRunKeys) << "run=" << run;
+    Payload p = 0;
+    bool found = true;
+    ASSERT_TRUE(f.pgm.Lookup(gap, &p, &found).ok());
+    ASSERT_FALSE(found) << "run=" << run;
+  }
+}
 
 TEST(StaticPgm, FindsKeysUnderParallelExtremeLineSegment) {
   // The fb keys of OptimalPla.ParallelExtremeLinesStayWithinBound: the keys
@@ -228,6 +304,35 @@ TEST(DynamicPgm, MergedLevelFilesAreDeleted) {
   const auto stats = index.GetIndexStats();
   // Footprint bounded by a small multiple of live data (no unreclaimed runs).
   EXPECT_LT(stats.disk_bytes, 8 * stats.num_records * sizeof(Record) + (1 << 16));
+}
+
+TEST(DynamicPgm, SharedPoolRecyclesSlotsUnderMergeChurn) {
+  // Every merge deletes level files and registers new ones; in a 16-frame
+  // shared pool their frames must come and go through recycled slots while
+  // the index keeps answering every key.
+  IndexOptions options = PgmOpts(32);
+  options.shared_buffer_budget_blocks = 16;
+  DynamicPgmIndex index(options);
+  const auto keys = UniformKeys(3000, 21);
+  ASSERT_TRUE(index.Bulkload(ToRecords(keys)).ok());
+  std::map<Key, Payload> model;
+  for (const Key key : keys) model[key] = PayloadFor(key);
+  Rng rng(22);
+  for (int i = 0; i < 3000; ++i) {
+    const Key key = 1 + rng.NextBounded(1ULL << 61);
+    ASSERT_TRUE(index.Insert(key, key ^ 5).ok());
+    model[key] = key ^ 5;
+    ASSERT_LE(index.buffer_manager().cached_frames(), 16u) << "insert " << i;
+  }
+  EXPECT_GT(index.merge_count(), 10u);
+  for (const auto& [key, payload] : model) {
+    Payload p = 0;
+    bool found = false;
+    ASSERT_TRUE(index.Lookup(key, &p, &found).ok());
+    ASSERT_TRUE(found) << key;
+    ASSERT_EQ(p, payload) << key;
+  }
+  EXPECT_LE(index.buffer_manager().cached_frames(), 16u);
 }
 
 TEST(DynamicPgm, UpsertShadowsOlderVersion) {

@@ -1,11 +1,19 @@
+#include <algorithm>
+#include <array>
+#include <cstdio>
 #include <cstring>
 #include <limits>
+#include <list>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "storage/block_device.h"
 #include "storage/buffer_manager.h"
 #include "storage/disk_model.h"
@@ -577,6 +585,438 @@ TEST(BufferManagerDeathTest, DroppingPinnedFrameAborts) {
       "still pinned");
 }
 
+// --- Frame table edges ----------------------------------------------------
+
+TEST(BufferManager, PinPastDeviceEndCachesNothing) {
+  BufferedFile f(4);
+  FillDevice(f, 8);
+  PageRef ref;
+  ASSERT_TRUE(f.file->PinBlock(3, &ref).ok());
+  ref.Release();
+  const IoStatsSnapshot before = f.stats.snapshot();
+  for (const BlockId id : {BlockId{8}, std::numeric_limits<BlockId>::max() - 1}) {
+    EXPECT_EQ(f.file->PinBlock(id, &ref).code(), Status::Code::kOutOfRange) << id;
+    EXPECT_TRUE(ref.empty());
+  }
+  EXPECT_EQ(f.file->cached_blocks(), 1u);
+  EXPECT_EQ(f.stats.snapshot().TotalReads(), before.TotalReads());
+  EXPECT_EQ(f.stats.snapshot().TotalEvictions(), 0u);
+  // The block that was cached before the failures is still a hit.
+  ASSERT_TRUE(f.file->PinBlock(3, &ref).ok());
+  EXPECT_TRUE(Holds(ref, 3));
+  EXPECT_EQ(f.stats.snapshot().TotalHits(), before.TotalHits() + 1);
+  EXPECT_EQ(f.stats.snapshot().TotalReads(), before.TotalReads());
+  ref.Release();
+  // Blocks the device gains behind the handle's back are cached normally.
+  ASSERT_TRUE(f.dev.Grow(12).ok());
+  ASSERT_TRUE(f.dev.Write(10, Pattern(kBs, 10).data()).ok());
+  ASSERT_TRUE(f.file->PinBlock(10, &ref).ok());
+  ASSERT_TRUE(f.file->PinBlock(10, &ref).ok());
+  EXPECT_TRUE(Holds(ref, 10));
+  EXPECT_EQ(f.stats.snapshot().TotalHits(), before.TotalHits() + 2);
+  EXPECT_EQ(f.file->cached_blocks(), 2u);
+}
+
+TEST(BufferManager, WritePastDeviceEndFailsAndCachesNothing) {
+  // Write-through fails at the device; write-back must fail too rather than
+  // defer a write that can never land.
+  for (const bool write_back : {false, true}) {
+    BufferManager::Options options;
+    options.write_back = write_back;
+    BufferedFile f(4, options);
+    const auto data = Pattern(kBs, 5);
+    EXPECT_EQ(f.file->WriteBlock(8, data.data()).code(), Status::Code::kOutOfRange)
+        << write_back;
+    EXPECT_EQ(f.file->cached_blocks(), 0u) << write_back;
+    EXPECT_EQ(f.stats.snapshot().TotalMisses(), 0u) << write_back;
+    ASSERT_TRUE(f.file->Flush().ok());
+    EXPECT_EQ(f.stats.snapshot().TotalWrites(), 0u) << write_back;
+  }
+}
+
+// --- Policy equivalence against a reference model -------------------------
+
+/// The bytes a test block carries: its write version and its address, so a
+/// read can tell which write it returns.
+std::vector<std::byte> Stamp(std::uint32_t version, int file, BlockId block) {
+  std::vector<std::byte> data(kBs, std::byte{0});
+  const std::uint32_t header[3] = {version, static_cast<std::uint32_t>(file), block};
+  std::memcpy(data.data(), header, sizeof(header));
+  return data;
+}
+
+std::uint32_t VersionOf(const std::byte* data) {
+  std::uint32_t version;
+  std::memcpy(&version, data, sizeof(version));
+  return version;
+}
+
+/// A plain model of the buffer manager's frame bookkeeping: per-pool recency
+/// in a std::list (lru/fifo) or a clock ring with the manager's tombstone and
+/// compaction rule, frames in a std::map, and the expected IoStats counters.
+/// One PageRef is modelled: `pinned` is the frame it holds, if any.
+class RefManager {
+ public:
+  using FrameKey = std::pair<int, BlockId>;  // (file, block)
+
+  RefManager(BufferPolicy policy, bool write_back, bool shared, std::size_t budget,
+             std::vector<FileClass> classes, BlockId blocks)
+      : policy_(policy), write_back_(write_back), shared_(shared), budget_(budget),
+        classes_(std::move(classes)), device_(classes_.size(),
+                                              std::vector<std::uint32_t>(blocks, 1)) {
+    pools_.assign(shared_ ? 1 : classes_.size(), Pool(policy_));
+  }
+
+  IoStatsSnapshot expected;
+  std::optional<FrameKey> pinned;
+
+  std::size_t cached(int file) const {
+    std::size_t n = 0;
+    for (const auto& [key, frame] : frames_) n += key.first == file ? 1 : 0;
+    return n;
+  }
+  std::size_t dirty(int file) const {
+    std::size_t n = 0;
+    for (const auto& [key, frame] : frames_) n += key.first == file && frame.dirty ? 1 : 0;
+    return n;
+  }
+  std::size_t cached_frames() const { return frames_.size(); }
+  std::uint32_t device_version(int file, BlockId id) const { return device_[file][id]; }
+
+  /// ReadBlock (and, with `pin`, PinBlock): returns the version served.
+  std::uint32_t Read(int file, BlockId id, bool pin) {
+    if (pin) pinned.reset();  // PinBlock releases its ref before fetching
+    const FrameKey key{file, id};
+    std::uint32_t version;
+    if (auto it = frames_.find(key); it != frames_.end()) {
+      Count(&IoStatsSnapshot::buffer_hits, file);
+      PoolOf(file).Touch(key);
+      version = it->second.version;
+    } else {
+      Count(&IoStatsSnapshot::buffer_misses, file);
+      Count(&IoStatsSnapshot::reads, file);
+      version = device_[file][id];
+      if (MakeRoom(file)) Insert(key, Frame{version, false});
+    }
+    if (pin && frames_.count(key) > 0) pinned = key;
+    return version;
+  }
+
+  void Write(int file, BlockId id, std::uint32_t version) {
+    const FrameKey key{file, id};
+    if (!write_back_) {
+      Count(&IoStatsSnapshot::writes, file);
+      device_[file][id] = version;
+    }
+    if (auto it = frames_.find(key); it != frames_.end()) {
+      Count(&IoStatsSnapshot::buffer_hits, file);
+      PoolOf(file).Touch(key);
+      it->second = Frame{version, write_back_};
+      return;
+    }
+    Count(&IoStatsSnapshot::buffer_misses, file);
+    if (MakeRoom(file)) {
+      Insert(key, Frame{version, write_back_});
+    } else if (write_back_) {  // every frame pinned: written back at once
+      WriteBack(key, version);
+    }
+  }
+
+  void Flush(int file) {
+    for (auto& [key, frame] : frames_) {
+      if (key.first != file || !frame.dirty) continue;
+      WriteBack(key, frame.version);
+      frame.dirty = false;
+    }
+  }
+
+  void DropCaches(int file) {
+    Flush(file);
+    DropAll(file);
+  }
+
+  /// UnregisterFile plus a fresh registration of the same device.
+  void Reregister(int file) {
+    DropAll(file);  // dirty frames are discarded, not written back
+    if (!shared_) pools_[file] = Pool(policy_);
+  }
+
+ private:
+  struct Frame {
+    std::uint32_t version;
+    bool dirty;
+  };
+
+  struct Pool {
+    explicit Pool(BufferPolicy p) : policy(p) {}
+
+    BufferPolicy policy;
+    std::list<FrameKey> order;  // lru/fifo, front = newest
+    struct Entry {
+      FrameKey key;
+      bool live;
+      bool ref;
+    };
+    std::vector<Entry> ring;  // clock
+    std::size_t hand = 0;
+    std::size_t live = 0;
+
+    void Insert(const FrameKey& key) {
+      if (policy == BufferPolicy::kClock) {
+        ring.push_back({key, true, false});
+        ++live;
+      } else {
+        order.push_front(key);
+      }
+    }
+    void Touch(const FrameKey& key) {
+      if (policy == BufferPolicy::kLru) {
+        order.remove(key);
+        order.push_front(key);
+      } else if (policy == BufferPolicy::kClock) {
+        Find(key).ref = true;
+      }
+    }
+    void Erase(const FrameKey& key) {
+      if (policy != BufferPolicy::kClock) {
+        order.remove(key);
+        return;
+      }
+      Find(key).live = false;
+      --live;
+      if (ring.size() > 2 * live + 8) {
+        std::vector<Entry> packed;
+        for (std::size_t i = 0; i < ring.size(); ++i) {
+          const Entry& entry = ring[(hand + i) % ring.size()];
+          if (entry.live) packed.push_back(entry);
+        }
+        ring = std::move(packed);
+        hand = 0;
+      }
+    }
+    std::optional<FrameKey> Victim(const std::optional<FrameKey>& pinned) {
+      if (policy != BufferPolicy::kClock) {
+        for (auto it = order.rbegin(); it != order.rend(); ++it) {
+          if (*it != pinned) return *it;
+        }
+        return std::nullopt;
+      }
+      for (std::size_t step = 0; step < 2 * ring.size(); ++step) {
+        if (hand >= ring.size()) hand = 0;
+        Entry& entry = ring[hand];
+        if (!entry.live || entry.key == pinned) {
+          ++hand;
+        } else if (entry.ref) {
+          entry.ref = false;
+          ++hand;
+        } else {
+          return entry.key;
+        }
+      }
+      return std::nullopt;
+    }
+    Entry& Find(const FrameKey& key) {
+      for (Entry& entry : ring) {
+        if (entry.live && entry.key == key) return entry;
+      }
+      ADD_FAILURE() << "frame missing from the clock ring";
+      return ring.front();
+    }
+  };
+
+  Pool& PoolOf(int file) { return pools_[shared_ ? 0 : file]; }
+  std::size_t FramesIn(int file) const {
+    if (!shared_) return cached(file);
+    return frames_.size();
+  }
+
+  void Count(std::array<std::uint64_t, kNumFileClasses> IoStatsSnapshot::* field, int file) {
+    ++(expected.*field)[static_cast<int>(classes_[file])];
+  }
+  void WriteBack(const FrameKey& key, std::uint32_t version) {
+    Count(&IoStatsSnapshot::writes, key.first);
+    Count(&IoStatsSnapshot::buffer_writebacks, key.first);
+    device_[key.first][key.second] = version;
+  }
+  void Insert(const FrameKey& key, Frame frame) {
+    frames_[key] = frame;
+    PoolOf(key.first).Insert(key);
+  }
+  void Drop(const FrameKey& key) {
+    PoolOf(key.first).Erase(key);
+    frames_.erase(key);
+  }
+  /// Evicts until `file`'s pool has room; false when every frame is pinned.
+  bool MakeRoom(int file) {
+    while (FramesIn(file) >= budget_) {
+      const std::optional<FrameKey> victim = PoolOf(file).Victim(pinned);
+      if (!victim) return false;
+      const Frame frame = frames_.at(*victim);
+      if (frame.dirty) WriteBack(*victim, frame.version);
+      Count(&IoStatsSnapshot::buffer_evictions, victim->first);
+      Drop(*victim);
+    }
+    return true;
+  }
+  void DropAll(int file) {
+    std::vector<FrameKey> keys;  // block order: the map's order
+    for (const auto& [key, frame] : frames_) {
+      if (key.first == file) keys.push_back(key);
+    }
+    for (const FrameKey& key : keys) Drop(key);
+  }
+
+  BufferPolicy policy_;
+  bool write_back_;
+  bool shared_;
+  std::size_t budget_;
+  std::vector<FileClass> classes_;
+  std::vector<std::vector<std::uint32_t>> device_;  // version on the device
+  std::map<FrameKey, Frame> frames_;
+  std::vector<Pool> pools_;
+};
+
+TEST(BufferManager, MatchesReferenceModelOverRandomOps) {
+  // Seeded random PinBlock/ReadBlock/ReadBlocks/WriteBlock/Flush/DropCaches
+  // and unregister/re-register sequences over 3 files. File 0 sits on a
+  // batching FileBlockDevice, so its ReadBlocks take the batch path; the
+  // others are in memory. After every step every IoStats counter, each
+  // file's cached and dirty counts, the pool size and the bytes served must
+  // equal the model's.
+  constexpr int kFiles = 3;
+  constexpr BlockId kBlocks = 24;
+  const std::vector<FileClass> classes = {FileClass::kLeaf, FileClass::kInner,
+                                          FileClass::kOther};
+  const std::string path = ::testing::TempDir() + "/liod_policy_equivalence.bin";
+  std::uint64_t seed = 1;
+  for (const BufferPolicy policy :
+       {BufferPolicy::kLru, BufferPolicy::kFifo, BufferPolicy::kClock}) {
+    for (const bool write_back : {false, true}) {
+      for (const bool shared : {false, true}) {
+        for (const std::size_t budget : {1u, 2u, 7u, 64u}) {
+          SCOPED_TRACE(std::string(BufferPolicyName(policy)) +
+                       (write_back ? " write-back" : " write-through") +
+                       (shared ? " shared" : " per-file") + " budget=" +
+                       std::to_string(budget));
+          std::vector<std::unique_ptr<BlockDevice>> devices;
+          devices.push_back(std::make_unique<FileBlockDevice>(path, kBs));
+          for (int i = 1; i < kFiles; ++i) {
+            devices.push_back(std::make_unique<MemoryBlockDevice>(kBs));
+          }
+          ASSERT_TRUE(devices[0]->SupportsBatch());
+          for (int i = 0; i < kFiles; ++i) {
+            ASSERT_TRUE(devices[i]->Grow(kBlocks).ok());
+            for (BlockId id = 0; id < kBlocks; ++id) {
+              ASSERT_TRUE(devices[i]->Write(id, Stamp(1, i, id).data()).ok());
+            }
+          }
+          BufferManager::Options options;
+          options.policy = policy;
+          options.write_back = write_back;
+          options.shared_budget_frames = shared ? budget : 0;
+          BufferManager manager(options);
+          IoStats stats;
+          std::vector<FileHandle*> files;
+          for (int i = 0; i < kFiles; ++i) {
+            files.push_back(manager.RegisterFile(devices[i].get(), &stats, classes[i], budget));
+          }
+          RefManager model(policy, write_back, shared, budget, classes, kBlocks);
+          PageRef ref;
+          int ref_file = -1;
+          BlockId ref_block = 0;
+          const auto release = [&] {
+            ref.Release();
+            model.pinned.reset();
+          };
+          Rng rng(seed++);
+          std::uint32_t next_version = 2;
+          std::vector<std::byte> out(kBs);
+          for (int step = 0; step < 1500; ++step) {
+            const int file = static_cast<int>(rng.NextBounded(kFiles));
+            // Half the ids come from a hot set so that every budget sees hits.
+            const BlockId id = static_cast<BlockId>(
+                rng.NextBounded(2) == 0 ? rng.NextBounded(6) : rng.NextBounded(kBlocks));
+            const std::uint64_t op = rng.NextBounded(100);
+            std::string what;
+            if (op < 30) {
+              what = "pin";
+              ASSERT_TRUE(files[file]->PinBlock(id, &ref).ok());
+              const std::uint32_t want = model.Read(file, id, /*pin=*/true);
+              ASSERT_EQ(VersionOf(ref.data()), want) << what;
+              ref_file = file;
+              ref_block = id;
+            } else if (op < 55) {
+              what = "read";
+              ASSERT_TRUE(files[file]->ReadBlock(id, out.data()).ok());
+              ASSERT_EQ(VersionOf(out.data()), model.Read(file, id, false)) << what;
+            } else if (op < 65) {
+              what = "read batch";
+              const BlockId first = std::min<BlockId>(id, kBlocks - 2);
+              const BlockId count = static_cast<BlockId>(
+                  2 + rng.NextBounded(std::min<BlockId>(5, kBlocks - first - 1)));
+              std::vector<BlockId> ids;
+              for (BlockId b = first; b < first + count; ++b) ids.push_back(b);
+              std::vector<std::vector<std::byte>> bufs(ids.size(), std::vector<std::byte>(kBs));
+              std::vector<std::byte*> outs;
+              for (auto& buf : bufs) outs.push_back(buf.data());
+              ASSERT_TRUE(files[file]->ReadBlocks(ids, outs).ok());
+              for (std::size_t i = 0; i < ids.size(); ++i) {
+                ASSERT_EQ(VersionOf(outs[i]), model.Read(file, ids[i], false)) << what;
+              }
+            } else if (op < 85) {
+              what = "write";
+              // Writing a pinned frame is a caller error: release it first.
+              if (ref_file == file && ref_block == id) release();
+              const std::uint32_t version = next_version++;
+              ASSERT_TRUE(files[file]->WriteBlock(id, Stamp(version, file, id).data()).ok());
+              model.Write(file, id, version);
+            } else if (op < 92) {
+              what = "flush";
+              ASSERT_TRUE(files[file]->Flush().ok());
+              model.Flush(file);
+            } else if (op < 97) {
+              what = "drop caches";
+              if (ref_file == file) release();
+              ASSERT_TRUE(files[file]->DropCaches().ok());
+              model.DropCaches(file);
+            } else {
+              what = "re-register";
+              if (ref_file == file) release();
+              manager.UnregisterFile(files[file]);
+              files[file] =
+                  manager.RegisterFile(devices[file].get(), &stats, classes[file], budget);
+              model.Reregister(file);
+            }
+            if (!model.pinned) ref_file = -1;
+            const IoStatsSnapshot got = stats.snapshot();
+            ASSERT_TRUE(got == model.expected)
+                << "step " << step << " (" << what << " file " << file << " block " << id
+                << ")\n got " << got.ToString() << "\nwant " << model.expected.ToString();
+            for (int i = 0; i < kFiles; ++i) {
+              ASSERT_EQ(files[i]->cached_blocks(), model.cached(i)) << "step " << step;
+              ASSERT_EQ(files[i]->dirty_blocks(), model.dirty(i)) << "step " << step;
+            }
+            ASSERT_EQ(manager.cached_frames(), model.cached_frames()) << "step " << step;
+          }
+          release();
+          // After a flush the devices hold exactly the model's versions.
+          ASSERT_TRUE(manager.FlushAll().ok());
+          for (int i = 0; i < kFiles; ++i) {
+            model.Flush(i);
+            for (BlockId b = 0; b < kBlocks; ++b) {
+              ASSERT_TRUE(devices[i]->Read(b, out.data()).ok());
+              ASSERT_EQ(VersionOf(out.data()), model.device_version(i, b))
+                  << "file " << i << " block " << b;
+            }
+          }
+          for (FileHandle* handle : files) manager.UnregisterFile(handle);
+        }
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
 // --- PagedFile ----------------------------------------------------------
 
 PagedFile MakeMemFile(IoStats* stats, PagedFileOptions options = {}) {
@@ -765,6 +1205,47 @@ TEST(PagedFile, ByteRangeSpanningPartialHeadAndTail) {
     ASSERT_TRUE(file.ReadBytes(2 * kBs + 100, tail.size(), tail.data()).ok());
     for (std::byte b : tail) EXPECT_EQ(b, std::byte{0});
   }
+}
+
+TEST(PagedFile, ReopenedDevicePinsOldThenNewBlocks) {
+  // A file registered over a device that already holds blocks serves them,
+  // and the blocks it allocates afterwards, through the same frame table.
+  const std::string path = ::testing::TempDir() + "/liod_paged_reopen.bin";
+  {
+    IoStats stats;
+    PagedFile file(std::make_unique<FileBlockDevice>(path, kBs), &stats, FileClass::kLeaf,
+                   PagedFileOptions{});
+    const BlockId first = file.AllocateRun(3);
+    for (BlockId id = first; id < first + 3; ++id) {
+      ASSERT_TRUE(file.WriteBlock(id, Pattern(kBs, static_cast<unsigned char>(id)).data()).ok());
+    }
+  }
+  IoStats stats;
+  PagedFileOptions options;
+  options.buffer_pool_blocks = 8;
+  PagedFile file(std::make_unique<FileBlockDevice>(path, kBs, /*truncate=*/false), &stats,
+                 FileClass::kLeaf, options);
+  ASSERT_EQ(file.allocated_blocks(), 3u);
+  PageRef ref;
+  for (int pass = 0; pass < 2; ++pass) {  // misses, then hits
+    for (BlockId id = 0; id < 3; ++id) {
+      ASSERT_TRUE(file.PinBlock(id, &ref).ok());
+      EXPECT_TRUE(Holds(ref, id));
+    }
+  }
+  EXPECT_EQ(stats.snapshot().TotalMisses(), 3u);
+  EXPECT_EQ(stats.snapshot().TotalHits(), 3u);
+  ref.Release();
+  const BlockId fresh = file.Allocate();
+  ASSERT_EQ(fresh, 3u);
+  ASSERT_TRUE(file.WriteBlock(fresh, Pattern(kBs, 3).data()).ok());
+  ASSERT_TRUE(file.PinBlock(fresh, &ref).ok());  // write-allocated: a hit
+  EXPECT_TRUE(Holds(ref, fresh));
+  EXPECT_EQ(stats.snapshot().TotalHits(), 4u);
+  EXPECT_EQ(stats.snapshot().TotalReads(), 3u);
+  EXPECT_EQ(file.buffer().cached_blocks(), 4u);
+  ref.Release();
+  std::remove(path.c_str());
 }
 
 TEST(PagedFile, ReadBytesAlignedSpanSkipsRmw) {
