@@ -2,6 +2,7 @@
 // search, (b) insertion, (c) SMO, (d) maintenance -- per index on the
 // Write-Only workload, modeled on the HDD.
 
+#include "core/op_breakdown.h"
 #include "write_runs.h"
 
 using namespace liod;
@@ -22,10 +23,11 @@ int main(int argc, char** argv) {
     std::printf("%-10s %12s %12s %12s %12s %12s\n", "index", "search", "insert", "smo",
                 "maintenance", "total");
     for (const auto& idx : args.indexes) {
-      std::unique_ptr<ShardedEngine> engine;
-      (void)RunWriteWithIndex(idx, dataset, WorkloadType::kWriteOnly, args, options,
-                              &engine);
-      const OpBreakdown& b = engine->shard(0)->breakdown();
+      // Phase accounting is opt-in: the run charges its phases to this sink.
+      OpBreakdown b;
+      IndexOptions with_sink = options;
+      with_sink.breakdown = &b;
+      (void)RunWrite(idx, dataset, WorkloadType::kWriteOnly, args, with_sink);
       double total = 0.0;
       std::printf("%-10s", idx.c_str());
       for (OpPhase phase : {OpPhase::kSearch, OpPhase::kInsert, OpPhase::kSmo,

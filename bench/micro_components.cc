@@ -4,9 +4,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "btree/btree_index.h"
 #include "common/linear_model.h"
 #include "common/random.h"
+#include "common/search.h"
+#include "core/op_breakdown.h"
 #include "pgm/static_pgm.h"
 #include "segmentation/fmcd.h"
 #include "segmentation/greedy_segmentation.h"
@@ -159,6 +163,82 @@ void BM_StaticPgmLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StaticPgmLookup);
+
+/// Searches of a fully cached B+-tree's worth of nodes: 4.9k 4 KiB blocks of
+/// 255 sorted fb keys each (a 1.25M-key tree), Zipf(0.99)-chosen with the hot
+/// blocks scattered, each probe a key of its block. The std and kernel
+/// variants run the identical probe sequence, so their difference is the
+/// search alone.
+struct NodeSearchFixture {
+  static constexpr std::size_t kBlocks = 4900;
+  static constexpr std::size_t kKeysPerNode = 255;
+  static constexpr std::size_t kBlockKeys = 4096 / sizeof(Key);
+  static constexpr std::size_t kProbes = 1 << 16;
+
+  NodeSearchFixture() : blocks(kBlocks * kBlockKeys), node(kProbes), key(kProbes) {
+    const auto keys = BenchKeys(kBlocks * kKeysPerNode);
+    for (std::size_t b = 0; b < kBlocks; ++b) {
+      std::copy_n(keys.begin() + static_cast<std::ptrdiff_t>(b * kKeysPerNode), kKeysPerNode,
+                  blocks.begin() + static_cast<std::ptrdiff_t>(b * kBlockKeys));
+    }
+    std::vector<std::size_t> scatter(kBlocks);
+    for (std::size_t b = 0; b < kBlocks; ++b) scatter[b] = b;
+    Rng rng(13);
+    Shuffle(scatter, rng);
+    ZipfGenerator zipf(kBlocks, 0.99, 17);
+    for (std::size_t i = 0; i < kProbes; ++i) {
+      node[i] = blocks.data() + scatter[zipf.Next()] * kBlockKeys;
+      key[i] = node[i][rng.NextBounded(kKeysPerNode)];
+    }
+  }
+
+  std::vector<Key> blocks;
+  std::vector<const Key*> node;
+  std::vector<Key> key;
+};
+
+void BM_NodeSearchStd(benchmark::State& state) {
+  const NodeSearchFixture f;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const Key* keys = f.node[i];
+    benchmark::DoNotOptimize(std::upper_bound(keys, keys + f.kKeysPerNode, f.key[i]));
+    i = (i + 1) & (f.kProbes - 1);
+  }
+}
+BENCHMARK(BM_NodeSearchStd);
+
+void BM_NodeSearchKernel(benchmark::State& state) {
+  const NodeSearchFixture f;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const Key* keys = f.node[i];
+    benchmark::DoNotOptimize(UpperBound(keys, keys + f.kKeysPerNode, f.key[i]));
+    i = (i + 1) & (f.kProbes - 1);
+  }
+}
+BENCHMARK(BM_NodeSearchKernel);
+
+/// One PhaseScope per iteration, as every index op opens: without a sink
+/// (the default) and with one.
+void BM_PhaseScopeOff(benchmark::State& state) {
+  IoStats stats;
+  for (auto _ : state) {
+    PhaseScope scope(nullptr, &stats, OpPhase::kSearch);
+    benchmark::DoNotOptimize(&scope);
+  }
+}
+BENCHMARK(BM_PhaseScopeOff);
+
+void BM_PhaseScopeOn(benchmark::State& state) {
+  IoStats stats;
+  OpBreakdown sink;
+  for (auto _ : state) {
+    PhaseScope scope(&sink, &stats, OpPhase::kSearch);
+    benchmark::DoNotOptimize(&scope);
+  }
+}
+BENCHMARK(BM_PhaseScopeOn);
 
 }  // namespace
 }  // namespace liod

@@ -37,16 +37,6 @@ inline RunResult RunWrite(const std::string& index_name, const std::string& data
   return MustRun(index_name, options, WriteWorkload(dataset, type, args), config);
 }
 
-/// Same but also returns the one-shard engine so callers can inspect phase
-/// breakdowns (engine->shard(0)->breakdown()).
-inline RunResult RunWriteWithIndex(const std::string& index_name,
-                                   const std::string& dataset, WorkloadType type,
-                                   const BenchArgs& args, const IndexOptions& options,
-                                   std::unique_ptr<ShardedEngine>* engine_out) {
-  *engine_out = std::make_unique<ShardedEngine>(OneShard(index_name, options));
-  return MustRun(engine_out->get(), WriteWorkload(dataset, type, args));
-}
-
 }  // namespace liod::bench
 
 #endif  // LIOD_BENCH_WRITE_RUNS_H_

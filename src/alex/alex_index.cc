@@ -226,7 +226,7 @@ Status AlexIndex::DescendToData(Key key, BlockId* start, AlexDataHeader* header,
 }
 
 Status AlexIndex::Lookup(Key key, Payload* payload, bool* found) {
-  PhaseScope scope(&breakdown_, &io_stats_, OpPhase::kSearch);
+  PhaseScope scope(options_.breakdown, &io_stats_, OpPhase::kSearch);
   *found = false;
   BlockId start;
   AlexDataHeader header;
@@ -535,7 +535,7 @@ Status AlexIndex::InsertIntoData(BlockId start, AlexDataHeader& header,
   std::uint32_t iters = 0;
   bool exact = false;
   {
-    PhaseScope search(&breakdown_, &io_stats_, OpPhase::kSearch);
+    PhaseScope search(options_.breakdown, &io_stats_, OpPhase::kSearch);
     const std::int64_t pred =
         header.model.PredictClamped(key, static_cast<std::int64_t>(header.capacity));
     LIOD_RETURN_IF_ERROR(
@@ -549,7 +549,7 @@ Status AlexIndex::InsertIntoData(BlockId start, AlexDataHeader& header,
   if (exact) {
     // Upsert: rewrite the whole mirror run [slot, real] so every copy
     // carries the new payload.
-    PhaseScope ins(&breakdown_, &io_stats_, OpPhase::kInsert);
+    PhaseScope ins(options_.breakdown, &io_stats_, OpPhase::kInsert);
     std::uint32_t real;
     LIOD_RETURN_IF_ERROR(NextSetBit(data(), start, header, slot, &real));
     if (real >= header.capacity) real = slot;  // defensive
@@ -565,7 +565,7 @@ Status AlexIndex::InsertIntoData(BlockId start, AlexDataHeader& header,
   if (static_cast<double>(header.num_keys + 1) >
       options_.alex_max_density * static_cast<double>(header.capacity)) {
     {
-      PhaseScope smo(&breakdown_, &io_stats_, OpPhase::kSmo);
+      PhaseScope smo(options_.breakdown, &io_stats_, OpPhase::kSmo);
       LIOD_RETURN_IF_ERROR(RunSmo(start, header, path));
     }
     *retry = true;
@@ -574,7 +574,7 @@ Status AlexIndex::InsertIntoData(BlockId start, AlexDataHeader& header,
 
   std::uint64_t shifts = 0;
   {
-    PhaseScope ins(&breakdown_, &io_stats_, OpPhase::kInsert);
+    PhaseScope ins(options_.breakdown, &io_stats_, OpPhase::kInsert);
     std::uint32_t place = slot;
     bool place_is_gap = false;
     if (header.num_keys == 0) {
@@ -660,7 +660,7 @@ Status AlexIndex::InsertIntoData(BlockId start, AlexDataHeader& header,
 
   {
     // Maintenance: statistics + key count in the node header (Figure 6).
-    PhaseScope maint(&breakdown_, &io_stats_, OpPhase::kMaintenance);
+    PhaseScope maint(options_.breakdown, &io_stats_, OpPhase::kMaintenance);
     header.num_keys += 1;
     header.num_inserts += 1;
     header.num_exp_search_iters += iters;
@@ -679,7 +679,7 @@ Status AlexIndex::Insert(Key key, Payload payload) {
     AlexDataHeader header;
     std::vector<PathEntry> path;
     {
-      PhaseScope search(&breakdown_, &io_stats_, OpPhase::kSearch);
+      PhaseScope search(options_.breakdown, &io_stats_, OpPhase::kSearch);
       LIOD_RETURN_IF_ERROR(DescendToData(key, &start, &header, &path));
     }
     bool retry = false, inserted = false;
@@ -694,7 +694,7 @@ Status AlexIndex::Insert(Key key, Payload payload) {
 // --- scan ---------------------------------------------------------------------
 
 Status AlexIndex::Scan(Key start_key, std::size_t count, std::vector<Record>* out) {
-  PhaseScope scope(&breakdown_, &io_stats_, OpPhase::kSearch);
+  PhaseScope scope(options_.breakdown, &io_stats_, OpPhase::kSearch);
   out->clear();
   if (count == 0) return Status::Ok();
   BlockId start;

@@ -5,6 +5,8 @@
 #include <cstring>
 #include <functional>
 
+#include "common/search.h"
+
 namespace liod {
 
 BPlusTree::BPlusTree(PagedFile* inner_file, PagedFile* leaf_file, IoStats* stats,
@@ -113,7 +115,7 @@ Status BPlusTree::DescendToLeaf(Key key, BlockId* leaf, std::vector<PathEntry>* 
     const Key* keys = InnerKeys(page);
     const Key* end = keys + header->count;
     // Rightmost entry with key <= search key; clamp to entry 0.
-    const Key* it = std::upper_bound(keys, end, key);
+    const Key* it = UpperBound(keys, end, key);
     std::uint32_t idx = it == keys ? 0 : static_cast<std::uint32_t>(it - keys - 1);
     if (path != nullptr) path->push_back(PathEntry{current, idx});
     current = InnerChildren(page)[idx];
@@ -132,7 +134,7 @@ Status BPlusTree::Lookup(Key key, std::uint64_t* value, bool* found) {
   const auto* header = page.As<LeafHeader>();
   const Record* records = LeafRecords(page);
   const Record* end = records + header->count;
-  const Record* it = std::lower_bound(records, end, key, RecordKeyLess());
+  const Record* it = LowerBound(records, end, key);
   if (it != end && it->key == key) {
     *value = it->payload;
     *found = true;
@@ -150,7 +152,7 @@ Status BPlusTree::Insert(Key key, std::uint64_t value) {
   auto* header = block.As<LeafHeader>();
   Record* records = LeafRecords(block);
   Record* end = records + header->count;
-  Record* it = std::lower_bound(records, end, key, RecordKeyLess());
+  Record* it = LowerBound(records, end, key);
   if (it != end && it->key == key) {  // upsert
     it->payload = value;
     return leaf_file_->WriteBlock(leaf, block.data());
@@ -190,14 +192,14 @@ Status BPlusTree::Insert(Key key, std::uint64_t value) {
     if (key < right_first) {
       Record* lrecords = LeafRecords(block);
       Record* lend = lrecords + header->count;
-      Record* lit = std::lower_bound(lrecords, lend, key, RecordKeyLess());
+      Record* lit = LowerBound(lrecords, lend, key);
       std::memmove(lit + 1, lit, static_cast<std::size_t>(lend - lit) * sizeof(Record));
       *lit = Record{key, value};
       ++header->count;
     } else {
       Record* rrecords = LeafRecords(right_block);
       Record* rend = rrecords + right_header->count;
-      Record* rit = std::lower_bound(rrecords, rend, key, RecordKeyLess());
+      Record* rit = LowerBound(rrecords, rend, key);
       std::memmove(rit + 1, rit, static_cast<std::size_t>(rend - rit) * sizeof(Record));
       *rit = Record{key, value};
       ++right_header->count;
@@ -278,7 +280,7 @@ Status BPlusTree::InsertIntoParent(std::vector<PathEntry>& path, std::size_t par
   if (key < right_first) {
     Key* lkeys = InnerKeys(block);
     BlockId* lchildren = InnerChildren(block);
-    const Key* it = std::upper_bound(lkeys, lkeys + header->count, key);
+    const Key* it = UpperBound(lkeys, lkeys + header->count, key);
     const std::uint32_t p = static_cast<std::uint32_t>(it - lkeys);
     std::memmove(lkeys + p + 1, lkeys + p, (header->count - p) * sizeof(Key));
     std::memmove(lchildren + p + 1, lchildren + p, (header->count - p) * sizeof(BlockId));
@@ -288,7 +290,7 @@ Status BPlusTree::InsertIntoParent(std::vector<PathEntry>& path, std::size_t par
   } else {
     Key* rkeys = InnerKeys(right_block);
     BlockId* rchildren = InnerChildren(right_block);
-    const Key* it = std::upper_bound(rkeys, rkeys + right_header->count, key);
+    const Key* it = UpperBound(rkeys, rkeys + right_header->count, key);
     const std::uint32_t p = static_cast<std::uint32_t>(it - rkeys);
     std::memmove(rkeys + p + 1, rkeys + p, (right_header->count - p) * sizeof(Key));
     std::memmove(rchildren + p + 1, rchildren + p, (right_header->count - p) * sizeof(BlockId));
@@ -328,7 +330,7 @@ Status BPlusTree::Erase(Key key, bool* erased) {
   auto* header = block.As<LeafHeader>();
   Record* records = LeafRecords(block);
   Record* end = records + header->count;
-  Record* it = std::lower_bound(records, end, key, RecordKeyLess());
+  Record* it = LowerBound(records, end, key);
   if (it == end || it->key != key) return Status::Ok();
   std::memmove(it, it + 1, static_cast<std::size_t>(end - it - 1) * sizeof(Record));
   --header->count;
@@ -347,7 +349,7 @@ Status BPlusTree::LookupFloor(Key key, Record* out, bool* found) {
     const auto* header = page.As<LeafHeader>();
     const Record* records = LeafRecords(page);
     const Record* end = records + header->count;
-    const Record* it = std::upper_bound(records, end, key, RecordKeyLess());
+    const Record* it = UpperBound(records, end, key);
     if (it != records) {
       *out = *(it - 1);
       *found = true;
@@ -374,7 +376,7 @@ Status BPlusTree::Scan(Key start_key, std::size_t count, std::vector<Record>* ou
     const auto* header = page.As<LeafHeader>();
     const Record* records = LeafRecords(page);
     const Record* end = records + header->count;
-    const Record* it = std::lower_bound(records, end, start_key, RecordKeyLess());
+    const Record* it = LowerBound(records, end, start_key);
     for (; it != end && out->size() < count; ++it) out->push_back(*it);
     leaf = header->next;
   }

@@ -14,7 +14,7 @@ Status BTreeIndex::Bulkload(std::span<const Record> records) {
 }
 
 Status BTreeIndex::Lookup(Key key, Payload* payload, bool* found) {
-  PhaseScope scope(&breakdown_, &io_stats_, OpPhase::kSearch);
+  PhaseScope scope(options_.breakdown, &io_stats_, OpPhase::kSearch);
   return tree_.Lookup(key, payload, found);
 }
 
@@ -22,12 +22,12 @@ Status BTreeIndex::Insert(Key key, Payload payload) {
   // The B+-tree has no separate SMO/maintenance steps the way the learned
   // indexes do; splits are charged to the insert phase (Figure 6 reports the
   // B+-tree this way as well).
-  PhaseScope scope(&breakdown_, &io_stats_, OpPhase::kInsert);
+  PhaseScope scope(options_.breakdown, &io_stats_, OpPhase::kInsert);
   return tree_.Insert(key, payload);
 }
 
 Status BTreeIndex::Scan(Key start_key, std::size_t count, std::vector<Record>* out) {
-  PhaseScope scope(&breakdown_, &io_stats_, OpPhase::kSearch);
+  PhaseScope scope(options_.breakdown, &io_stats_, OpPhase::kSearch);
   return tree_.Scan(start_key, count, out);
 }
 

@@ -182,6 +182,7 @@ class BufferManager;     // storage/buffer_manager.h
 class DurableSlot;       // recovery/durable_store.h
 class GroupCommitWindow; // recovery/wal_writer.h
 class MetricRegistry;    // telemetry/metric_registry.h
+class OpBreakdown;       // core/op_breakdown.h
 class TraceRecorder;     // telemetry/trace_recorder.h
 
 /// Shared configuration for every index in the library. Defaults follow the
@@ -303,6 +304,15 @@ struct IndexOptions {
   /// decorator are unregistered in its destructor). Consumed via
   /// src/telemetry/.
   MetricRegistry* metrics = nullptr;
+
+  /// Non-owning escape hatch: the per-phase accounting sink (search /
+  /// insert / SMO / maintenance CPU time and I/O, the paper's Figure 6
+  /// breakdown). Default nullptr = off: every index op's PhaseScope then
+  /// reads no clock and takes no lock, and counted I/O is identical either
+  /// way. One sink may serve many indexes (every shard of an engine); it is
+  /// thread-safe and must outlive them. Injected by fig6_write_breakdown and
+  /// `liod_cli run`; consumed by every index family.
+  OpBreakdown* breakdown = nullptr;
 
   /// Non-owning escape hatch: span recorder for the same components (op,
   /// merge-drain, WAL-force, checkpoint, lock-wait spans; Chrome trace-event

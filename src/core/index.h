@@ -78,7 +78,6 @@ class DiskIndex {
   /// one IoStats.
   virtual IoStats& io_stats() { return io_stats_; }
   virtual const IoStats& io_stats() const { return io_stats_; }
-  virtual OpBreakdown& breakdown() { return breakdown_; }
 
   /// Empties every buffer frame of the index, writing back dirty frames
   /// first (a no-op under write-through, where every frame is clean).
@@ -139,7 +138,6 @@ class DiskIndex {
 
   IndexOptions options_;
   IoStats io_stats_;
-  OpBreakdown breakdown_;
 
  private:
   /// Owned manager when no external one is injected. Declared before files_

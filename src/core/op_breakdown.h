@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 
 #include "storage/disk_model.h"
 #include "storage/io_stats.h"
@@ -27,14 +28,19 @@ const char* OpPhaseName(OpPhase phase);
 
 /// Accumulates CPU time and I/O per phase across many operations.
 ///
+/// A sink the caller owns and injects through IndexOptions::breakdown (one
+/// sink may serve every shard of an engine). Indexes without a sink record
+/// nothing.
+///
 /// Thread-safe without a shared serialization point: totals are striped
 /// across a fixed set of mutex-guarded stripes, each thread hashing to one
 /// stripe, and totals() merges the stripes on read (the same
-/// merge-on-read shape as IoStats::ThreadTally). Every index op -- including
-/// read-only lookups -- charges a PhaseScope here, and under the engine's
-/// shared lock mode those lookups run in parallel on one index
-/// instance; a single global mutex made Record a serialization point
-/// exactly where the engine is supposed to scale.
+/// merge-on-read shape as IoStats::ThreadTally). With a sink injected, every
+/// index op -- including read-only lookups -- charges a PhaseScope here, and
+/// under the engine's shared lock mode those lookups run in parallel on one
+/// index instance (or, with a shared sink, on many); a single global mutex
+/// made Record a serialization point exactly where the engine is supposed to
+/// scale.
 class OpBreakdown {
  public:
   struct PhaseTotals {
@@ -55,9 +61,8 @@ class OpBreakdown {
   double AvgLatencyUs(OpPhase phase, const DiskModel& model, std::uint64_t ops) const;
 
  private:
-  // 16 stripes bounds the per-instance footprint (every DiskIndex owns one
-  // OpBreakdown, and tests create thousands) while keeping the collision
-  // odds low at the thread counts the engine runs.
+  // 16 stripes keep the collision odds low at the thread counts the engine
+  // runs.
   static constexpr std::size_t kNumStripes = 16;
 
   struct Stripe {
@@ -70,34 +75,42 @@ class OpBreakdown {
   mutable std::array<Stripe, kNumStripes> stripes_;
 };
 
-/// RAII scope that charges elapsed CPU time and I/O to one phase. I/O is
-/// captured with a thread-exact ThreadTally, not a stats-wide snapshot
-/// delta, so parallel readers on one index cannot double-count each other's
-/// fetches into their own phase.
+/// RAII scope that charges elapsed CPU time and I/O to one phase of
+/// `breakdown`. I/O is captured with a thread-exact ThreadTally, not a
+/// stats-wide snapshot delta, so parallel readers on one index cannot
+/// double-count each other's fetches into their own phase. A null
+/// `breakdown` (no sink injected) makes the scope free: it reads no clock,
+/// pushes no tally and takes no lock.
 class PhaseScope {
  public:
   PhaseScope(OpBreakdown* breakdown, IoStats* stats, OpPhase phase)
-      : breakdown_(breakdown),
-        phase_(phase),
-        tally_(stats, &io_delta_),
-        start_(std::chrono::steady_clock::now()) {}
+      : breakdown_(breakdown), phase_(phase) {
+    if (breakdown_ != nullptr) active_.emplace(stats);
+  }
 
   PhaseScope(const PhaseScope&) = delete;
   PhaseScope& operator=(const PhaseScope&) = delete;
 
   ~PhaseScope() {
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
+    if (!active_) return;
+    const auto elapsed = std::chrono::steady_clock::now() - active_->start;
     const double cpu_us =
         std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(elapsed).count();
-    breakdown_->Record(phase_, cpu_us, io_delta_);
+    breakdown_->Record(phase_, cpu_us, active_->io_delta);
   }
 
  private:
+  /// The measuring state, built only when a sink is injected.
+  struct Active {
+    explicit Active(IoStats* stats) : tally(stats, &io_delta) {}
+    IoStatsSnapshot io_delta;  ///< must outlive tally (declared first)
+    IoStats::ThreadTally tally;
+    std::chrono::steady_clock::time_point start = std::chrono::steady_clock::now();
+  };
+
   OpBreakdown* breakdown_;
   OpPhase phase_;
-  IoStatsSnapshot io_delta_;  ///< must outlive tally_ (declared first)
-  IoStats::ThreadTally tally_;
-  std::chrono::steady_clock::time_point start_;
+  std::optional<Active> active_;
 };
 
 }  // namespace liod

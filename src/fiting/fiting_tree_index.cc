@@ -322,7 +322,7 @@ Status FitingTreeIndex::LookupInBuffer(const SegDesc& desc, Key key, Payload* pa
 }
 
 Status FitingTreeIndex::Lookup(Key key, Payload* payload, bool* found) {
-  PhaseScope scope(&breakdown_, &io_stats_, OpPhase::kSearch);
+  PhaseScope scope(options_.breakdown, &io_stats_, OpPhase::kSearch);
   *found = false;
   if (!bulkloaded_) return Status::FailedPrecondition("not bulkloaded");
 
@@ -497,7 +497,7 @@ Status FitingTreeIndex::Insert(Key key, Payload payload) {
   if (key < min_segment_key_ || segment_count_ == 0) {
     BlockBuffer block(bs);
     {
-      PhaseScope search(&breakdown_, &io_stats_, OpPhase::kSearch);
+      PhaseScope search(options_.breakdown, &io_stats_, OpPhase::kSearch);
       LIOD_RETURN_IF_ERROR(leaf_file_->ReadBlock(head_buffer_block_, block.data()));
     }
     auto* header = block.As<HeadBufferHeader>();
@@ -505,18 +505,18 @@ Status FitingTreeIndex::Insert(Key key, Payload payload) {
     auto* end = records + header->count;
     auto* it = std::lower_bound(records, end, key, RecordKeyLess());
     if (it != end && it->key == key) {  // upsert
-      PhaseScope ins(&breakdown_, &io_stats_, OpPhase::kInsert);
+      PhaseScope ins(options_.breakdown, &io_stats_, OpPhase::kInsert);
       it->payload = payload;
       return leaf_file_->WriteBlock(head_buffer_block_, block.data());
     }
     if (header->count >= head_buffer_capacity_) {
       {
-        PhaseScope smo(&breakdown_, &io_stats_, OpPhase::kSmo);
+        PhaseScope smo(options_.breakdown, &io_stats_, OpPhase::kSmo);
         LIOD_RETURN_IF_ERROR(FlushHeadBuffer());
       }
       return Insert(key, payload);  // re-route after the flush
     }
-    PhaseScope ins(&breakdown_, &io_stats_, OpPhase::kInsert);
+    PhaseScope ins(options_.breakdown, &io_stats_, OpPhase::kInsert);
     std::memmove(it + 1, it, static_cast<std::size_t>(end - it) * sizeof(Record));
     *it = Record{key, payload};
     ++header->count;
@@ -528,7 +528,7 @@ Status FitingTreeIndex::Insert(Key key, Payload payload) {
   SegDesc desc;
   bool have_desc = false;
   {
-    PhaseScope search(&breakdown_, &io_stats_, OpPhase::kSearch);
+    PhaseScope search(options_.breakdown, &io_stats_, OpPhase::kSearch);
     LIOD_RETURN_IF_ERROR(FindSegment(key, &desc, &have_desc));
     if (!have_desc) return Status::Corruption("insert: no segment for key");
 
@@ -563,19 +563,19 @@ Status FitingTreeIndex::Insert(Key key, Payload payload) {
   // --- insert into the delta buffer ---------------------------------------
   BlockBuffer head_block(bs);
   {
-    PhaseScope search(&breakdown_, &io_stats_, OpPhase::kSearch);
+    PhaseScope search(options_.breakdown, &io_stats_, OpPhase::kSearch);
     LIOD_RETURN_IF_ERROR(leaf_file_->ReadBlock(desc.start_block, head_block.data()));
   }
   auto* header = head_block.As<SegHeader>();
   if (header->buffer_count >= options_.fiting_buffer_capacity) {
     {
-      PhaseScope smo(&breakdown_, &io_stats_, OpPhase::kSmo);
+      PhaseScope smo(options_.breakdown, &io_stats_, OpPhase::kSmo);
       LIOD_RETURN_IF_ERROR(Resegment(desc));
     }
     return Insert(key, payload);  // the new segment's buffer is empty
   }
 
-  PhaseScope ins(&breakdown_, &io_stats_, OpPhase::kInsert);
+  PhaseScope ins(options_.breakdown, &io_stats_, OpPhase::kInsert);
   const std::uint32_t count = header->buffer_count;
   const std::uint64_t run_off = static_cast<std::uint64_t>(desc.start_block) * bs;
   // Read live buffer records (blocks beyond the header block as needed).
@@ -612,7 +612,7 @@ Status FitingTreeIndex::Insert(Key key, Payload payload) {
 }
 
 Status FitingTreeIndex::Scan(Key start_key, std::size_t count, std::vector<Record>* out) {
-  PhaseScope scope(&breakdown_, &io_stats_, OpPhase::kSearch);
+  PhaseScope scope(options_.breakdown, &io_stats_, OpPhase::kSearch);
   out->clear();
   if (!bulkloaded_ || count == 0) return Status::Ok();
   const std::size_t bs = options_.block_size;

@@ -270,7 +270,7 @@ Status HybridIndex::LocateLeaf(Key key, BlockId* leaf, bool* found) {
 }
 
 Status HybridIndex::Lookup(Key key, Payload* payload, bool* found) {
-  PhaseScope scope(&breakdown_, &io_stats_, OpPhase::kSearch);
+  PhaseScope scope(options_.breakdown, &io_stats_, OpPhase::kSearch);
   *found = false;
   if (!bulkloaded_) return Status::FailedPrecondition("not bulkloaded");
   BlockId leaf;
@@ -298,7 +298,7 @@ Status HybridIndex::Insert(Key /*key*/, Payload /*payload*/) {
 }
 
 Status HybridIndex::Scan(Key start_key, std::size_t count, std::vector<Record>* out) {
-  PhaseScope scope(&breakdown_, &io_stats_, OpPhase::kSearch);
+  PhaseScope scope(options_.breakdown, &io_stats_, OpPhase::kSearch);
   out->clear();
   if (!bulkloaded_ || count == 0) return Status::Ok();
   BlockId leaf;

@@ -23,7 +23,7 @@ Status LippIndex::Bulkload(std::span<const Record> records) {
 }
 
 Status LippIndex::Lookup(Key key, Payload* payload, bool* found) {
-  PhaseScope scope(&breakdown_, &io_stats_, OpPhase::kSearch);
+  PhaseScope scope(options_.breakdown, &io_stats_, OpPhase::kSearch);
   *found = false;
   if (!bulkloaded_) return Status::FailedPrecondition("not bulkloaded");
   const std::size_t bs = options_.block_size;
@@ -125,7 +125,7 @@ Status LippIndex::Insert(Key key, Payload payload) {
   bool inserted = false;
 
   {
-    PhaseScope search(&breakdown_, &io_stats_, OpPhase::kSearch);
+    PhaseScope search(options_.breakdown, &io_stats_, OpPhase::kSearch);
     for (;;) {
       LippNodeHeader header;
       LIOD_RETURN_IF_ERROR(file_->ReadBytes(static_cast<std::uint64_t>(node) * bs,
@@ -138,7 +138,7 @@ Status LippIndex::Insert(Key key, Payload payload) {
       LIOD_RETURN_IF_ERROR(ReadLippSlot(file_.get(), node, slot, &value));
       if (value.kind() == LippSlotKind::kNull) {
         // Empty slot: write the tagged record in place (one slot write).
-        PhaseScope ins(&breakdown_, &io_stats_, OpPhase::kInsert);
+        PhaseScope ins(options_.breakdown, &io_stats_, OpPhase::kInsert);
         LIOD_RETURN_IF_ERROR(
             WriteLippSlot(file_.get(), node, slot, LippSlot::Data(key, payload)));
         inserted = true;
@@ -146,13 +146,13 @@ Status LippIndex::Insert(Key key, Payload payload) {
       }
       if (value.kind() == LippSlotKind::kData) {
         if (value.key() == key) {  // upsert
-          PhaseScope ins(&breakdown_, &io_stats_, OpPhase::kInsert);
+          PhaseScope ins(options_.breakdown, &io_stats_, OpPhase::kInsert);
           LIOD_RETURN_IF_ERROR(
               WriteLippSlot(file_.get(), node, slot, LippSlot::Data(key, payload)));
           return Status::Ok();  // no statistics change for an in-place update
         }
         // Conflict: create a child node holding both records (SMO type 1).
-        PhaseScope smo(&breakdown_, &io_stats_, OpPhase::kSmo);
+        PhaseScope smo(options_.breakdown, &io_stats_, OpPhase::kSmo);
         ++conflict_smo_count_;
         Record pair[2] = {Record{value.key(), value.payload()}, Record{key, payload}};
         if (pair[0].key > pair[1].key) std::swap(pair[0], pair[1]);
@@ -178,11 +178,11 @@ Status LippIndex::Insert(Key key, Payload payload) {
   bool rebuild = false;
   std::size_t rebuild_depth = 0;
   {
-    PhaseScope maint(&breakdown_, &io_stats_, OpPhase::kMaintenance);
+    PhaseScope maint(options_.breakdown, &io_stats_, OpPhase::kMaintenance);
     LIOD_RETURN_IF_ERROR(UpdatePathStats(path, conflict, &rebuild_depth, &rebuild));
   }
   if (rebuild) {
-    PhaseScope smo(&breakdown_, &io_stats_, OpPhase::kSmo);
+    PhaseScope smo(options_.breakdown, &io_stats_, OpPhase::kSmo);
     LIOD_RETURN_IF_ERROR(RebuildSubtree(path, rebuild_depth));
   }
   return Status::Ok();
@@ -222,7 +222,7 @@ Status LippIndex::ScanEmit(BlockId node, Key start_key, std::size_t count,
 }
 
 Status LippIndex::Scan(Key start_key, std::size_t count, std::vector<Record>* out) {
-  PhaseScope scope(&breakdown_, &io_stats_, OpPhase::kSearch);
+  PhaseScope scope(options_.breakdown, &io_stats_, OpPhase::kSearch);
   out->clear();
   if (!bulkloaded_ || count == 0) return Status::Ok();
   // Walk down to the start position, then emit in-order, unwinding to each

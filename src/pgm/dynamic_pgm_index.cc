@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/search.h"
 #include "pgm/window_buffer.h"
 
 namespace liod {
@@ -135,7 +136,7 @@ Status DynamicPgmIndex::BufferFind(Key key, std::size_t* pos, bool* exists,
                                 reinterpret_cast<std::byte*>(block.Assign(take))));
     const bool last_block = first + take >= buffer_count_;
     if (key <= block.back().key || last_block) {
-      const auto it = std::lower_bound(block.begin(), block.end(), key, RecordKeyLess());
+      const auto it = LowerBound(block.begin(), block.end(), key);
       *pos = first + static_cast<std::size_t>(it - block.begin());
       if (it != block.end() && it->key == key) {
         *exists = true;
@@ -175,12 +176,12 @@ Status DynamicPgmIndex::Insert(Key key, Payload payload) {
   std::size_t pos = 0;
   bool exists = false;
   {
-    PhaseScope search(&breakdown_, &io_stats_, OpPhase::kSearch);
+    PhaseScope search(options_.breakdown, &io_stats_, OpPhase::kSearch);
     LIOD_RETURN_IF_ERROR(BufferFind(key, &pos, &exists, nullptr));
   }
 
   if (exists) {  // upsert in place
-    PhaseScope ins(&breakdown_, &io_stats_, OpPhase::kInsert);
+    PhaseScope ins(options_.breakdown, &io_stats_, OpPhase::kInsert);
     const Record record{key, payload};
     const std::uint64_t off =
         static_cast<std::uint64_t>(buffer_start_) * options_.block_size +
@@ -191,7 +192,7 @@ Status DynamicPgmIndex::Insert(Key key, Payload payload) {
 
   if (buffer_count_ >= buffer_capacity_) {
     {
-      PhaseScope smo(&breakdown_, &io_stats_, OpPhase::kSmo);
+      PhaseScope smo(options_.breakdown, &io_stats_, OpPhase::kSmo);
       std::vector<Record> buffer;
       LIOD_RETURN_IF_ERROR(ReadBuffer(&buffer));
       std::size_t slot = 0;
@@ -208,7 +209,7 @@ Status DynamicPgmIndex::Insert(Key key, Payload payload) {
   }
 
   // Shift the suffix [pos, count) right by one record and place the new one.
-  PhaseScope ins(&breakdown_, &io_stats_, OpPhase::kInsert);
+  PhaseScope ins(options_.breakdown, &io_stats_, OpPhase::kInsert);
   const std::uint64_t base =
       static_cast<std::uint64_t>(buffer_start_) * options_.block_size;
   std::vector<Record> suffix(buffer_count_ - pos + 1);
@@ -227,7 +228,7 @@ Status DynamicPgmIndex::Insert(Key key, Payload payload) {
 }
 
 Status DynamicPgmIndex::Lookup(Key key, Payload* payload, bool* found) {
-  PhaseScope scope(&breakdown_, &io_stats_, OpPhase::kSearch);
+  PhaseScope scope(options_.breakdown, &io_stats_, OpPhase::kSearch);
   *found = false;
   if (buffer_count_ > 0) {
     std::size_t pos = 0;
@@ -244,7 +245,7 @@ Status DynamicPgmIndex::Lookup(Key key, Payload* payload, bool* found) {
 }
 
 Status DynamicPgmIndex::Scan(Key start_key, std::size_t count, std::vector<Record>* out) {
-  PhaseScope scope(&breakdown_, &io_stats_, OpPhase::kSearch);
+  PhaseScope scope(options_.breakdown, &io_stats_, OpPhase::kSearch);
   out->clear();
   if (count == 0) return Status::Ok();
 

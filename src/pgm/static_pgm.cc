@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/search.h"
 #include "pgm/window_buffer.h"
 #include "segmentation/piecewise_linear.h"
 
@@ -153,22 +154,16 @@ Status StaticPgm::PredictDataWindow(Key key, std::uint64_t* lo, std::uint64_t* h
       whi = new_hi;
     }
     // Floor entry: last with first_key <= key (clamped to the first entry).
-    std::size_t idx = 0;
-    for (std::size_t j = 0; j < window.size(); ++j) {
-      if (window[j].first_key <= key) {
-        idx = j;
-      } else {
-        break;
-      }
-    }
+    const Entry* above = UpperBound(window.begin(), window.end(), key,
+                                    [](const Entry& e) { return e.first_key; });
+    const std::size_t idx =
+        above == window.begin() ? 0 : static_cast<std::size_t>(above - window.begin()) - 1;
     current = window[idx];
     if (idx + 1 < window.size()) {
       next_start = window[idx + 1].intercept;
-    } else if (whi >= child_count) {
-      next_start = static_cast<double>(i == 0 ? num_records_ : levels_[i - 1].count);
     } else {
-      // Floor was the last window entry but more entries follow; its
-      // successor's start is unknown -- fall back to "no cap".
+      // The floor ends the window: either it ends the level or its
+      // successor's start is unread. Both cap at the child level's size.
       next_start = static_cast<double>(i == 0 ? num_records_ : levels_[i - 1].count);
     }
   }
@@ -194,7 +189,7 @@ Status StaticPgm::Lookup(Key key, Payload* payload, bool* found) {
   WindowBuffer<Record, kInlineWindow> window;
   LIOD_RETURN_IF_ERROR(ReadRecordWindow(lo, hi, window.Assign(hi - lo)));
   if (stats_ != nullptr) stats_->CountLeafNodeVisit();
-  const auto it = std::lower_bound(window.begin(), window.end(), key, RecordKeyLess());
+  const auto it = liod::LowerBound(window.begin(), window.end(), key);
   if (it != window.end() && it->key == key) {
     *payload = it->payload;
     *found = true;
@@ -230,7 +225,7 @@ Status StaticPgm::LowerBound(Key key, std::uint64_t* pos) {
     LIOD_RETURN_IF_ERROR(ReadRecordWindow(hi, new_hi, window.GrowBack(new_hi - hi)));
     hi = new_hi;
   }
-  const auto it = std::lower_bound(window.begin(), window.end(), key, RecordKeyLess());
+  const auto it = liod::LowerBound(window.begin(), window.end(), key);
   *pos = lo + static_cast<std::uint64_t>(it - window.begin());
   return Status::Ok();
 }

@@ -46,8 +46,9 @@ namespace liod {
 /// Accounting: the spill file is created through the base index's
 /// MakeAuxFile, so every spill write and probe read is a counted block I/O
 /// in the base's IoStats and flows through the base's BufferManager budget
-/// like any other file. io_stats()/breakdown() forward to the base, so
-/// the runner and benches see one unified counter set.
+/// like any other file. io_stats() forwards to the base, so the runner and
+/// benches see one unified counter set. The base charges its phases to the
+/// same injected IndexOptions::breakdown sink the decorator was built with.
 ///
 /// Durability (IndexOptions::durability != kNone, src/recovery/): every
 /// Insert/Delete appends a CRC'd record to a write-ahead log BEFORE staging
@@ -102,7 +103,6 @@ class UpdateBufferedIndex : public DiskIndex {
   Status FlushBuffers() override;
   IoStats& io_stats() override { return base_->io_stats(); }
   const IoStats& io_stats() const override { return base_->io_stats(); }
-  OpBreakdown& breakdown() override { return base_->breakdown(); }
   BufferManager& buffer_manager() override { return base_->buffer_manager(); }
 
   /// Recovery entry point (RecoveryManager): resumes LSN assignment after

@@ -588,12 +588,15 @@ TEST(TelemetryEngineTest, BatchedRequestsEachRecordTheirKindLatency) {
 // --- striped OpBreakdown under parallel readers -----------------------------
 
 TEST(OpBreakdownConcurrencyTest, ParallelLookupsRecordSerialTotals) {
-  // Every lookup charges a PhaseScope; under the engine's shared lock mode
-  // those run in parallel on one index instance. The striped totals must
-  // merge to exactly what a serial run records -- same event count, same
-  // thread-exact I/O (CPU time is wall-clock and excluded).
+  // With a sink injected, every lookup charges a PhaseScope; under the
+  // engine's shared lock mode those run in parallel on one index instance.
+  // The striped totals must merge to exactly what a serial run records --
+  // same event count, same thread-exact I/O (CPU time is wall-clock and
+  // excluded).
+  OpBreakdown sink;
   IndexOptions options;
   options.buffer_pool_blocks = 512;  // everything stays resident once warmed
+  options.breakdown = &sink;
   auto index = MakeIndex("btree", options);
   ASSERT_NE(index, nullptr);
   const std::vector<Key> keys = UniformKeys(8000, 21);
@@ -615,15 +618,15 @@ TEST(OpBreakdownConcurrencyTest, ParallelLookupsRecordSerialTotals) {
   // pattern regardless of op order.
   ASSERT_TRUE(lookup_range(0, keys.size()).ok());
 
-  index->breakdown().Reset();
+  sink.Reset();
   ASSERT_TRUE(lookup_range(0, keys.size()).ok());
   std::array<OpBreakdown::PhaseTotals, kNumOpPhases> serial;
   for (int p = 0; p < kNumOpPhases; ++p) {
-    serial[static_cast<std::size_t>(p)] = index->breakdown().totals(static_cast<OpPhase>(p));
+    serial[static_cast<std::size_t>(p)] = sink.totals(static_cast<OpPhase>(p));
   }
   ASSERT_GT(serial[static_cast<std::size_t>(OpPhase::kSearch)].events, 0u);
 
-  index->breakdown().Reset();
+  sink.Reset();
   constexpr std::size_t kThreads = 4;
   RacingThreads workers;
   workers.StartN(kThreads, [&](std::size_t t, const std::atomic<bool>&) -> Status {
@@ -636,7 +639,7 @@ TEST(OpBreakdownConcurrencyTest, ParallelLookupsRecordSerialTotals) {
 
   for (int p = 0; p < kNumOpPhases; ++p) {
     const auto phase = static_cast<OpPhase>(p);
-    const OpBreakdown::PhaseTotals parallel = index->breakdown().totals(phase);
+    const OpBreakdown::PhaseTotals parallel = sink.totals(phase);
     const OpBreakdown::PhaseTotals& expected = serial[static_cast<std::size_t>(p)];
     EXPECT_EQ(parallel.events, expected.events) << OpPhaseName(phase);
     EXPECT_EQ(parallel.io, expected.io) << OpPhaseName(phase);

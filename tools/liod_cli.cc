@@ -97,6 +97,7 @@
 #include <string>
 #include <thread>
 
+#include "core/op_breakdown.h"
 #include "engine/runner.h"
 #include "engine/sharded_engine.h"
 #include "recovery/durable_store.h"
@@ -560,6 +561,10 @@ int RunEngine(const CliArgs& args, const IndexOptions& options,
     }
     engine_options.durable_store = &store;
   }
+  // Only the human summary prints the phase breakdown, so only it pays for
+  // phase accounting. One sink serves every shard.
+  OpBreakdown breakdown;
+  if (!args.csv) engine_options.index.breakdown = &breakdown;
   auto engine = std::make_unique<ShardedEngine>(engine_options);
 
   const Workload w = BuildWorkload(keys, spec, args.threads);
@@ -661,18 +666,14 @@ int RunEngine(const CliArgs& args, const IndexOptions& options,
                   result.LatencyPercentileUs(0.99, disk) / 1e3,
                   result.LatencyStdDevUs(disk) / 1e3);
     }
-    // Each shard's average is its phase total over ALL ops, so the sum over
-    // shards is the engine-wide per-op average.
+    // Every shard charges the one sink, so its totals over ALL ops are the
+    // engine-wide per-op averages.
     const DiskModel& primary = disks.front();
     std::printf("  phase breakdown (avg %s us/op):", primary.name.c_str());
     for (OpPhase phase : {OpPhase::kSearch, OpPhase::kInsert, OpPhase::kSmo,
                           OpPhase::kMaintenance}) {
-      double avg_us = 0.0;
-      for (std::size_t s = 0; s < engine->num_shards(); ++s) {
-        avg_us += engine->shard(s)->breakdown().AvgLatencyUs(phase, primary,
-                                                             result.operations);
-      }
-      std::printf(" %s=%.1f", OpPhaseName(phase), avg_us);
+      std::printf(" %s=%.1f", OpPhaseName(phase),
+                  breakdown.AvgLatencyUs(phase, primary, result.operations));
     }
     std::printf("\n  storage: %.2f MiB total, %.2f MiB invalid; height=%llu; smos=%llu\n",
                 stats.disk_bytes / 1048576.0, stats.freed_bytes / 1048576.0,
